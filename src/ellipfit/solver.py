@@ -1,11 +1,31 @@
-"""Cutting-plane solvers for the extremal-ellipsoid problems.
+"""Solvers for the extremal-ellipsoid problems.
 
 `solve_u` computes the unique inscribed ellipsoid minimizing the
-mean-square gauge over a reference ellipsoid E.  The decision variables
-are the n(n+1)/2 free entries of the symmetric form B = Q_F, the
-objective trace(Q_E^{-1} B) is linear, and the semi-infinite constraint
-family "x^T B x >= 1 on the body boundary" is relaxed to finitely many
-boundary-point cuts:
+mean-square gauge over a reference ellipsoid E, i.e. the form B = Q_F
+minimizing trace(Q_E^{-1} B) subject to containment in the body.
+
+Bodies with a facet form {x : |h_j . x| <= 1} (facet polytopes, lp balls
+with p in {1, inf}, their linear images) are solved through the
+Lagrangian dual.  With Q_E = L L^T and whitened facets g_j = L^{-1} h_j,
+
+    n J^2 = max over the simplex of (tr N(mu)^{1/2})^2,
+    N(mu) = sum_j mu_j g_j g_j^T,
+
+and omega_j = g_j^T N^{-1/2} g_j satisfies sum_j mu_j omega_j =
+tr N^{1/2}.  Any weights give the feasible form
+B = max_j omega_j * L N^{1/2} L^T, whose objective exceeds the dual
+bound by the factor 1 + gap with gap = max_j omega_j / tr N^{1/2} - 1,
+so the gap certifies the answer.  The weights move by the multiplicative
+update mu_j <- mu_j omega_j / tr N^{1/2} until the gap is below one, then
+by line-searched Newton steps on the concave function
+2 tr N(nu)^{1/2} - sum(nu), whose support comes from the nonnegative
+quadratic model; where a Newton step fails, a pairwise step between two
+facets may replace the multiplicative one.  The positive weights at the
+optimum are the isotropy certificate.
+
+Other bodies run a cutting-plane loop on the n(n+1)/2 free entries of B:
+the semi-infinite constraint family "x^T B x >= 1 on the body boundary"
+is relaxed to finitely many boundary-point cuts:
 
 * the LP relaxation (boxed, so always solvable) is solved;
 * an indefinite B gets an eigenvector cut, a boundary point along the
@@ -42,6 +62,12 @@ from .numerics import (LpProblem, NotPositiveDefiniteError, cholesky, solve_lp,
 # further cutting cannot make progress and the polish takes over.
 _LP_FLOOR = 3e-9
 
+# Duality gap at which the facet dual stops: a few units of round-off.
+_GAP_TOL = 1e-14
+# Share of the old weights every Newton step keeps, so that no facet weight
+# becomes exactly zero and the multiplicative update can revive any facet.
+_KEEP = 1e-3
+
 
 class SolverError(RuntimeError):
     """The cutting-plane solve failed structurally (box too small, ...)."""
@@ -75,12 +101,22 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Outcome of `solve_u`.
+
+    Facet-form bodies are solved by the dual: `cuts` holds one boundary
+    point per facet (the witness `contains_ellipsoid` builds), `gap` is
+    the final duality gap and `lp_iterations` is 0.  Other bodies run the
+    cutting-plane loop: `cuts` are its boundary-point cuts, `gap` is None
+    and `lp_iterations` counts the LP solves over all restarts.
+    """
+
     minimizer: Ellipsoid
     j_value: float
     status: str  # "optimal" | "max_cuts_reached"
     cuts: np.ndarray  # (k, n) boundary points used as constraints
     active_cuts: np.ndarray  # cuts with x^T Q_F x = 1 within 10*tol_feas
-    lp_iterations: int
+    lp_iterations: int  # LP solves, not simplex iterations
+    gap: float | None
 
 
 @dataclass(frozen=True)
@@ -104,6 +140,137 @@ class JohnReport:
 class IterateReport:
     trajectory: list
     fixed_point_reached: bool
+
+
+# --------------------------------------------------------------------------
+# Facet dual.  The state at weights mu comes from the SVD of
+# diag(sqrt(mu)) G, not from an eigendecomposition of N = G^T diag(mu) G,
+# so the singular values s (with N = V diag(s^2) V^T) keep their accuracy
+# on bodies that are long and thin relative to E.
+
+@dataclass(frozen=True)
+class _DualState:
+    s: np.ndarray  # singular values, the eigenvalues of N^{1/2}
+    vt: np.ndarray  # V^T
+    gt: np.ndarray  # G V
+    omega: np.ndarray  # g_j^T N^{-1/2} g_j
+    trace: float  # tr N^{1/2}
+    gap: float
+
+
+def _dual_state(g, mu) -> _DualState:
+    _, s, vt = np.linalg.svd(np.sqrt(mu)[:, None] * g, full_matrices=False)
+    gt = g @ vt.T
+    with np.errstate(divide="ignore"):
+        omega = np.sum(gt**2 / s, axis=1)
+    trace = float(np.sum(s))
+    return _DualState(s, vt, gt, omega, trace, float(np.max(omega) / trace - 1.0))
+
+
+def _newton_target(mu, st: _DualState):
+    """Weights on the simplex after one Newton step on the concave function
+    f(nu) = 2 tr N(nu)^{1/2} - sum(nu) at nu = (tr N^{1/2})^2 mu, the
+    point of the ray through mu where f is largest.  The nonnegative
+    quadratic model of f picks the support; on it the step is solved
+    directly, so its accuracy is relative to the step, not to nu."""
+    t = st.trace
+    nu = mu * t * t
+    sn = t * st.s  # singular values at nu
+    a, b = np.triu_indices(sn.size)
+    # -Hessian of f = A^T A with A[(a, b), j] = c_ab gt_ja gt_jb, where
+    # c_ab^2 = (2 - [a == b]) / (s_a s_b (s_a + s_b)).
+    coef = np.sqrt(np.where(a == b, 1.0, 2.0) / (sn[a] * sn[b] * (sn[a] + sn[b])))
+    amat = coef[:, None] * (st.gt[:, a] * st.gt[:, b]).T
+    hess = amat.T @ amat
+    grad = st.omega / t - 1.0
+    # max grad.(x - nu) - |A (x - nu)|^2 / 2 over x >= 0, as least squares
+    # min |R x - R^{-T} c| with R^T R = hess (plus a ridge for repeated
+    # facets) and c = grad + hess nu
+    ridged = hess + 1e-12 * np.trace(hess) / mu.size * np.eye(mu.size)
+    r = np.linalg.cholesky(ridged).T
+    x = solve_nnls(list(r.T), np.linalg.solve(r.T, grad + ridged @ nu)).weights
+    sup = np.flatnonzero(x > 0)
+    step = np.linalg.lstsq(hess[np.ix_(sup, sup)], grad[sup], rcond=1e-12)[0]
+    if np.all(nu[sup] + step > 0):
+        x = np.zeros_like(mu)
+        x[sup] = nu[sup] + step
+    return x / np.sum(x)
+
+
+def _newton_step(g, mu, st: _DualState):
+    """Backtrack from the Newton target (keeping _KEEP of mu) until
+    tr N^{1/2} rises, or ties within round-off while the gap falls.
+    Returns (mu, state) or None."""
+    target = _newton_target(mu, st)
+    alpha = 1.0 - _KEEP
+    while alpha > 1e-3:
+        cand = (1.0 - alpha) * mu + alpha * target
+        cst = _dual_state(g, cand)
+        if np.isfinite(cst.gap) and (
+                cst.trace > st.trace
+                or (cst.trace >= st.trace * (1.0 - 1e-15) and cst.gap < st.gap)):
+            return cand, cst
+        alpha *= 0.5
+    return None
+
+
+def _pairwise_step(g, mu, st: _DualState):
+    """Move weight to the most violated facet i from the facet k with the
+    most to gain, mu_k (omega_i - omega_k), as far as tr N^{1/2} rises:
+    its derivative along e_i - e_k is (omega_i - omega_k) / 2, so bisect
+    on that sign.  Returns (mu, state) or None."""
+    i = int(np.argmax(st.omega))
+    k = int(np.argmax(mu * (st.omega[i] - st.omega)))
+    if k == i:
+        return None
+    d = np.zeros_like(mu)
+    d[i], d[k] = 1.0, -1.0
+    lo, hi = 0.0, (1.0 - _KEEP) * mu[k]
+    cst = _dual_state(g, mu + hi * d)
+    if cst.omega[i] >= cst.omega[k]:
+        return mu + hi * d, cst
+    best = None
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        cst = _dual_state(g, mu + mid * d)
+        if cst.omega[i] >= cst.omega[k]:
+            lo, best = mid, (mu + mid * d, cst)
+        else:
+            hi = mid
+    return best
+
+
+def _dual_ascent(g, mu, max_iter):
+    """Raise tr N(mu)^{1/2} over the simplex from the weights mu until the
+    gap reaches _GAP_TOL or max_iter steps are spent.  From gap < 1 on a
+    Newton step is tried first.  Otherwise the multiplicative update
+    moves the weights, or the pairwise step when that raises tr N^{1/2}
+    more: it shifts weight between facets that compete for a thin
+    direction, where the Newton model and the multiplicative update are
+    both slow.  Returns (state, steps)."""
+    st = _dual_state(g, mu)
+    steps = 0
+    while st.gap > _GAP_TOL and steps < max_iter:
+        steps += 1
+        nxt = _newton_step(g, mu, st) if st.gap < 1.0 else None
+        if nxt is None:
+            scaled = mu * st.omega / st.trace
+            nxt = (scaled, _dual_state(g, scaled))
+            pair = _pairwise_step(g, mu, st) if st.gap < 1.0 else None
+            if pair is not None and pair[1].trace > nxt[1].trace:
+                nxt = pair
+        mu, st = nxt
+    return st, steps
+
+
+def _dual_run(facets, e: Ellipsoid, max_iter: int, seed: int):
+    """One dual solve from Dirichlet weights.  Returns (B, gap, status)."""
+    g = np.linalg.solve(e.chol, facets.T).T  # g_j = L^{-1} h_j, Q_E = L L^T
+    mu0 = np.random.default_rng(seed).dirichlet(np.ones(g.shape[0]))
+    st, _ = _dual_ascent(g, mu0, max_iter)
+    c = np.max(st.omega) * (st.vt.T * st.s) @ st.vt
+    status = "optimal" if st.gap <= _GAP_TOL else "max_cuts_reached"
+    return e.chol @ c @ e.chol.T, st.gap, status
 
 
 # --------------------------------------------------------------------------
@@ -184,7 +351,7 @@ def _cut_loop(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig, seed: int):
     pairs = _pairs(n)
     obj = _obj_vec(e.q_inv, pairs)
     pool = _initial_cuts(body, seed)
-    exact_oracle = _facet_form(body) is not None or _quadric_form(body) is not None
+    exact_oracle = _quadric_form(body) is not None
     floor = max(cfg.tol_feas, _LP_FLOOR)
     prev_obj = None
     floor_rounds = 0
@@ -299,21 +466,6 @@ def _vrep_facet_normal(body, x):
 def _collect_contacts(body, b0, cfg):
     window = max(1e-3, 100.0 * cfg.tol_feas)
     n = body.dim
-    facets = _facet_form(body)
-    if facets is not None:
-        binv = np.linalg.inv(b0)
-        t = np.einsum("ij,jk,ik->i", facets, binv, facets)
-        contacts = []
-        for j in np.flatnonzero(t >= 1.0 - window):
-            h = facets[j]
-            x = (binv @ h) / t[j]  # tangent point of the slab |h . x| <= 1
-            others = np.abs(facets @ x)
-            others[j] = 0.0
-            if np.max(others) <= 1.0 + 1e-6:
-                contacts.append(("plane", x, h))
-            else:
-                contacts.append(("frozen", boundary_point(body, binv @ h), None))
-        return contacts
     quadric = _quadric_form(body)
     if quadric is not None:
         vals, vecs = sym_eigen(quadric)
@@ -486,24 +638,34 @@ def _finalize(body, e, b, cfg):
 def solve_u(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) -> SolveReport:
     """The inscribed ellipsoid of minimal mean-square gauge over E.
 
-    The minimizer is unique; the solve is repeated from cfg.restarts
-    randomized cut seeds and the results must agree within 1e-4 relative
-    Frobenius distance, else RestartDisagreementError is raised.  The
-    returned ellipsoid is contained in the body within 10 * tol_feas.
+    Bodies with a facet form are solved by the dual (no LP), others by
+    the cutting-plane loop; cfg.max_cuts caps dual steps or LP solves per
+    restart, and box_R applies to the cutting-plane loop only.  The
+    minimizer is unique; the solve is repeated from cfg.restarts
+    randomized seeds (starting weights or cuts) and the results must agree
+    within 1e-4 relative Frobenius distance, else RestartDisagreementError
+    is raised.  The returned ellipsoid is contained in the body within
+    10 * tol_feas.
     """
     if e.dim != body.dim:
         raise ValueError("dimension mismatch between body and ellipsoid")
     if cfg.max_cuts < 2 * body.dim:
         raise ValueError("max_cuts must be at least 2 * dim")
+    facets = _facet_form(body)
     runs = []
     total_lp = 0
     for r in range(cfg.restarts):
-        b, pool, lp_count, status = _cut_loop(body, e, cfg, cfg.seed + 7919 * r)
-        total_lp += lp_count
-        if status == "optimal":
-            b = _polish(body, e, b, cfg)
-        minimizer = _finalize(body, e, b, cfg)
-        runs.append((minimizer, pool, status))
+        seed = cfg.seed + 7919 * r
+        if facets is not None:
+            b, gap, status = _dual_run(facets, e, cfg.max_cuts, seed)
+            points = None
+        else:
+            b, pool, lp_count, status = _cut_loop(body, e, cfg, seed)
+            total_lp += lp_count
+            if status == "optimal":
+                b = _polish(body, e, b, cfg)
+            gap, points = None, pool.points
+        runs.append((_finalize(body, e, b, cfg), points, status, gap))
     # uniqueness contract: completed restarts must land on the same form;
     # aborted runs only promise a feasible iterate and are exempt
     done = [run for run in runs if run[2] == "optimal"]
@@ -513,15 +675,16 @@ def solve_u(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) ->
             if d > 1e-4:
                 raise RestartDisagreementError(
                     f"restarts {i} and {j} disagree by {d:.2e} (> 1e-4)")
-    best = min(runs, key=lambda run: m_ellipsoid(e, run[0]))
-    minimizer, pool, status = best
-    cuts = np.array(pool.points)
+    minimizer, points, _, gap = min(runs, key=lambda run: m_ellipsoid(e, run[0]))
+    if facets is not None:
+        points = [boundary_point(body, minimizer.q_inv @ h) for h in facets]
+    cuts = np.array(points)
     vals = np.einsum("ij,jk,ik->i", cuts, minimizer.q, cuts)
     active = cuts[np.abs(vals - 1.0) <= 10.0 * cfg.tol_feas]
     overall = "optimal" if all(run[2] == "optimal" for run in runs) else "max_cuts_reached"
     return SolveReport(minimizer=minimizer, j_value=m_ellipsoid(e, minimizer),
                        status=overall, cuts=cuts, active_cuts=active,
-                       lp_iterations=total_lp)
+                       lp_iterations=total_lp, gap=gap)
 
 
 def j_value(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) -> float:

@@ -208,9 +208,38 @@ def test_gauge_of_fixed_point_dominates_inscribed():
 
 
 def test_solve_report_lp_iterations_positive():
-    rep = ef.solve_u(square_h(), BALL2)
+    # a smooth lp ball has no facet form, so it still runs the LP loop
+    rep = ef.solve_u(ef.LpBall(1.5, 1.0, 2), BALL2)
     assert rep.lp_iterations >= 3
     assert rep.cuts.shape[0] >= 2
+    assert rep.gap is None
+
+
+def test_solve_report_dual_path():
+    body = cross_h(3)
+    rep = ef.solve_u(body, ef.unit_ball(3))
+    assert rep.status == "optimal"
+    assert rep.lp_iterations == 0
+    assert rep.gap is not None and rep.gap <= 1e-14
+    assert rep.cuts.shape == body.facets.shape
+    _report_invariants(body, ef.unit_ball(3), rep)
+
+
+def test_solve_u_absolute_scale():
+    # the box [-1e-3, 1e-3]^2: the answer must not depend on absolute scale
+    rep = ef.solve_u(ef.PolytopeH([[1e3, 0.0], [0.0, 1e3]]), BALL2)
+    assert rep.status == "optimal"
+    assert abs(rep.j_value - 1e3) <= 1e-9 * 1e3
+    assert np.linalg.norm(rep.minimizer.q - 1e6 * np.eye(2)) <= 1e-9 * 1e6
+
+
+def test_solve_u_aspect_ratio():
+    # a 1000:1 box: the answer must not depend on the aspect ratio
+    rep = ef.solve_u(ef.PolytopeH([[1e-3, 0.0], [0.0, 1.0]]), BALL2)
+    assert rep.status == "optimal"
+    target = np.diag([1e-6, 1.0])
+    assert np.linalg.norm(rep.minimizer.q - target) <= 1e-9 * np.linalg.norm(target)
+    assert abs(rep.minimizer.q[0, 0] - 1e-6) <= 1e-9 * 1e-6
 
 
 def test_solve_u_smooth_ball_bodies():
