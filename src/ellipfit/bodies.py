@@ -8,9 +8,11 @@ Four representations:
 * ``LinearImage``  -- T K for an invertible T and any inner body K
 
 Each exposes the gauge norm (the unique norm whose unit ball is the body),
-the support function and a boundary-point map.  On top of those sit polar
-duality, linear images, and the ellipsoid containment test used as the
-separation oracle by the cutting-plane solvers.
+the support function and a boundary-point map, plus whatever exact
+structure it has (a facet form, extreme points, a quadric or a smooth
+boundary normal), computed on first use and kept.  On top of those sit
+polar duality, linear images, and the ellipsoid containment test used as
+the separation oracle by the cutting-plane solvers.
 
 Facet and vertex data use the symmetric convention (each row stands for a
 +- pair), so symmetry holds by construction.
@@ -20,14 +22,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .numerics import LpProblem, solve_lp, sym_eigen
+from .numerics import LpProblem, inv_sqrt, solve_lp, sym_eigen
 
 _SING_TOL = 1e-10  # smallest/largest singular value ratio below which a map is rejected
+_SCAN_SEED = 1234  # multistart directions of boundary_quadratic_scan
+_MERGE_COS = np.cos(1e-4)  # fold_merge treats unit vectors this close in angle as one
 
 
 class ZeroDirectionError(ValueError):
@@ -49,10 +54,43 @@ def _check_spanning(rows: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must span the whole space")
 
 
-class ConvexBody:
-    """Base type; concrete bodies implement the gauge norm and support."""
+def invertible_map(matrix, dim: int) -> np.ndarray:
+    """`matrix` as a float (dim, dim) array.  Raises ValueError for another
+    shape and SingularTransformError for a numerically singular map."""
+    t = np.array(matrix, dtype=float)
+    if t.shape != (dim, dim):
+        raise ValueError(f"matrix must be square and match the dimension {dim}")
+    sv = np.linalg.svd(t, compute_uv=False)
+    if sv[-1] <= _SING_TOL * sv[0]:
+        raise SingularTransformError("transform is numerically singular")
+    return t
 
-    dim: int
+
+class ConvexBody:
+    """Base type; concrete bodies implement the gauge norm and support.
+
+    Exact structure is computed on first use and kept; each attribute is
+    None for a body without that structure:
+
+    * ``facet_form``     -- rows h_j with body = {x : |h_j . x| <= 1}
+    * ``extreme_points`` -- rows whose +- pairs include every extreme point
+    * ``quadric_form``   -- Q with body = {x : x^T Q x <= 1}
+    * ``scaled_normal``  -- for a smooth boundary, a callable n with n(x)
+      normal to the boundary at x and n(x) . x = 1 there (the gradient of
+      the gauge, Euler-scaled)
+    """
+
+    facet_form = None
+    extreme_points = None
+    quadric_form = None
+    scaled_normal = None
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        # Boundary points of the fixed direction net, by net size: the net
+        # does not depend on the form scanned, and gauge evaluation
+        # dominates the cost of a scan.
+        self.boundary_nets: dict = {}
 
     def norm(self, x) -> float:
         raise NotImplementedError
@@ -67,11 +105,15 @@ class PolytopeH(ConvexBody):
     def __init__(self, facets):
         f = np.array(facets, dtype=float)
         _check_spanning(f, "facets")
+        super().__init__(f.shape[1])
         self.facets = f
-        self.dim = f.shape[1]
         sv = np.linalg.svd(f, compute_uv=False)
         # ||x|| <= sqrt(m)/sigma_min for any x in the body; used to box support LPs.
         self._radius_bound = float(np.sqrt(f.shape[0]) / sv[-1])
+
+    @property
+    def facet_form(self):
+        return self.facets
 
     def norm(self, x) -> float:
         return float(np.max(np.abs(self.facets @ np.asarray(x, dtype=float))))
@@ -89,8 +131,12 @@ class PolytopeV(ConvexBody):
     def __init__(self, generators):
         w = np.array(generators, dtype=float)
         _check_spanning(w, "generators")
+        super().__init__(w.shape[1])
         self.generators = w
-        self.dim = w.shape[1]
+
+    @property
+    def extreme_points(self):
+        return self.generators
 
     def norm(self, x) -> float:
         # min sum |c_k| s.t. sum c_k w_k = x, solved as an LP with c split
@@ -127,9 +173,9 @@ class LpBall(ConvexBody):
             raise ValueError("radius must be positive and finite")
         if dim < 1:
             raise ValueError("dim must be positive")
+        super().__init__(int(dim))
         self.p = p
         self.radius = float(radius)
-        self.dim = int(dim)
 
     @property
     def dual_p(self) -> float:
@@ -146,27 +192,79 @@ class LpBall(ConvexBody):
         theta = np.asarray(theta, dtype=float)
         return float(self.radius * np.linalg.norm(theta, ord=self.dual_p))
 
+    @cached_property
+    def facet_form(self):
+        if np.isinf(self.p):
+            return np.eye(self.dim) / self.radius
+        if self.p == 1.0 and self.dim <= 12:
+            return _sign_rows(self.dim) / self.radius
+        return None
+
+    @cached_property
+    def extreme_points(self):
+        if self.p == 1.0:
+            return np.eye(self.dim) * self.radius
+        if np.isinf(self.p) and self.dim <= 12:
+            return _sign_rows(self.dim) * self.radius
+        return None
+
+    @cached_property
+    def quadric_form(self):
+        return np.eye(self.dim) / self.radius**2 if self.p == 2.0 else None
+
+    @cached_property
+    def scaled_normal(self):
+        if not 1.0 < self.p < np.inf:
+            return None
+        p, r = self.p, self.radius
+        return lambda x: np.sign(x) * np.abs(x) ** (p - 1.0) / r**p
+
+
+def _sign_rows(n: int) -> np.ndarray:
+    """The sign vectors of length n, one row per +- pair."""
+    return np.array([s for s in itertools.product((1.0, -1.0), repeat=n) if s[0] > 0])
+
 
 class LinearImage(ConvexBody):
     """T K for an invertible matrix T and inner body K."""
 
     def __init__(self, matrix, inner: ConvexBody):
-        t = np.array(matrix, dtype=float)
-        if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] != inner.dim:
-            raise ValueError("matrix must be square and match the inner body dimension")
-        sv = np.linalg.svd(t, compute_uv=False)
-        if sv[-1] <= _SING_TOL * sv[0]:
-            raise SingularTransformError("transform is numerically singular")
+        t = invertible_map(matrix, inner.dim)
+        super().__init__(inner.dim)
         self.matrix = t
         self.matrix_inv = np.linalg.inv(t)
         self.inner = inner
-        self.dim = inner.dim
 
     def norm(self, x) -> float:
         return self.inner.norm(self.matrix_inv @ np.asarray(x, dtype=float))
 
     def support(self, theta) -> float:
         return self.inner.support(self.matrix.T @ np.asarray(theta, dtype=float))
+
+    # The inner body's structure composed with the map, once per body.
+
+    @cached_property
+    def facet_form(self):
+        inner = self.inner.facet_form
+        return None if inner is None else inner @ self.matrix_inv
+
+    @cached_property
+    def extreme_points(self):
+        inner = self.inner.extreme_points
+        return None if inner is None else inner @ self.matrix.T
+
+    @cached_property
+    def quadric_form(self):
+        inner = self.inner.quadric_form
+        return None if inner is None else self.matrix_inv.T @ inner @ self.matrix_inv
+
+    @cached_property
+    def scaled_normal(self):
+        inner = self.inner.scaled_normal
+        if inner is None:
+            return None
+        t_inv = self.matrix_inv
+        return lambda x: t_inv.T @ inner(t_inv @ x)
 
 
 def boundary_point(body: ConvexBody, direction) -> np.ndarray:
@@ -201,12 +299,7 @@ def polar(body: ConvexBody) -> ConvexBody:
 
 def linear_image(matrix, body: ConvexBody) -> ConvexBody:
     """The body T K.  Pushes through polytope data; otherwise wraps."""
-    t = np.array(matrix, dtype=float)
-    if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] != body.dim:
-        raise ValueError("matrix must be square and match the body dimension")
-    sv = np.linalg.svd(t, compute_uv=False)
-    if sv[-1] <= _SING_TOL * sv[0]:
-        raise SingularTransformError("transform is numerically singular")
+    t = invertible_map(matrix, body.dim)
     if isinstance(body, PolytopeH):
         return PolytopeH(body.facets @ np.linalg.inv(t))
     if isinstance(body, PolytopeV):
@@ -216,79 +309,24 @@ def linear_image(matrix, body: ConvexBody) -> ConvexBody:
     return LinearImage(t, body)
 
 
-# ---------------------------------------------------------------------------
-# Exact structure extraction.  Where a body (or a linear image of one) is
-# secretly a facet polytope, a vertex polytope or an ellipsoid, containment
-# and extreme-point questions have closed forms; the oracles below recover
-# that structure so the sampled fallback is used only when necessary.
-
-def _facet_form(body: ConvexBody):
-    if isinstance(body, PolytopeH):
-        return body.facets
-    if isinstance(body, LpBall):
-        n = body.dim
-        if np.isinf(body.p):
-            return np.eye(n) / body.radius
-        if body.p == 1.0 and n <= 12:
-            signs = np.array([s for s in itertools.product((1.0, -1.0), repeat=n)
-                              if s[0] > 0])
-            return signs / body.radius
-    if isinstance(body, LinearImage):
-        inner = _facet_form(body.inner)
-        if inner is not None:
-            return inner @ body.matrix_inv
-    return None
+def canonical_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The representative of the antipodal pair {x, -x} whose unit vector
+    has a positive largest-magnitude entry, with that unit vector."""
+    u = x / np.linalg.norm(x)
+    return (-x, -u) if u[int(np.argmax(np.abs(u)))] < 0 else (x, u)
 
 
-def _extreme_points(body: ConvexBody):
-    if isinstance(body, PolytopeV):
-        return body.generators
-    if isinstance(body, LpBall):
-        n = body.dim
-        if body.p == 1.0:
-            return np.eye(n) * body.radius
-        if np.isinf(body.p) and n <= 12:
-            signs = np.array([s for s in itertools.product((1.0, -1.0), repeat=n)
-                              if s[0] > 0])
-            return signs * body.radius
-    if isinstance(body, LinearImage):
-        inner = _extreme_points(body.inner)
-        if inner is not None:
-            return inner @ body.matrix.T
-    return None
-
-
-def _quadric_form(body: ConvexBody):
-    if isinstance(body, LpBall) and body.p == 2.0:
-        return np.eye(body.dim) / body.radius**2
-    if isinstance(body, LinearImage):
-        inner = _quadric_form(body.inner)
-        if inner is not None:
-            return body.matrix_inv.T @ inner @ body.matrix_inv
-    return None
-
-
-def _scaled_normal(body: ConvexBody):
-    """For smooth bodies, a callable n with n(x) normal to the boundary at
-    x and n(x) . x = 1 there (the gradient of the gauge, Euler-scaled).
-    None when the boundary is not smooth or no formula is known."""
-    if isinstance(body, LpBall) and 1.0 < body.p < np.inf:
-        p, r = body.p, body.radius
-
-        def normal(x):
-            return np.sign(x) * np.abs(x) ** (p - 1.0) / r**p
-
-        return normal
-    if isinstance(body, LinearImage):
-        inner = _scaled_normal(body.inner)
-        if inner is not None:
-            t_inv = body.matrix_inv
-
-            def normal(x, _inner=inner, _ti=t_inv):
-                return _ti.T @ _inner(_ti @ x)
-
-            return normal
-    return None
+def fold_merge(points) -> list[np.ndarray]:
+    """Fold antipodal pairs (they carry the same dyad) to their canonical
+    sign and drop points within 1e-4 radians of an earlier one."""
+    kept, units = [], []
+    for p in points:
+        p, u = canonical_pair(p)
+        if any(abs(float(u @ v)) >= _MERGE_COS for v in units):
+            continue
+        kept.append(p)
+        units.append(u)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +389,7 @@ def direction_net(dim: int, size: int | None = None) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _quad_values(body: ConvexBody, form: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+def boundary_values(body: ConvexBody, form: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """x^T Q x at the boundary points x = dir / gauge(dir)."""
     gauges = norm_many(body, dirs)
     x = dirs / gauges[:, None]
@@ -359,13 +397,12 @@ def _quad_values(body: ConvexBody, form: np.ndarray, dirs: np.ndarray) -> np.nda
 
 
 def _net_boundary(body: ConvexBody, size: int | None) -> np.ndarray:
-    """Boundary points of the fixed direction net, memoized per body (the
-    net is form-independent and gauge evaluation dominates scan cost)."""
-    cache = body.__dict__.setdefault("_net_boundary_cache", {})
-    if size not in cache:
+    """Boundary points of the fixed direction net, kept on the body."""
+    nets = body.boundary_nets
+    if size not in nets:
         net = direction_net(body.dim, size)
-        cache[size] = net / norm_many(body, net)[:, None]
-    return cache[size]
+        nets[size] = net / norm_many(body, net)[:, None]
+    return nets[size]
 
 
 def _pattern_descent(body, form, starts, sense, rounds):
@@ -374,7 +411,7 @@ def _pattern_descent(body, form, starts, sense, rounds):
     pts = starts / np.linalg.norm(starts, axis=1, keepdims=True)
     n = pts.shape[1]
     step = np.full(pts.shape[0], 0.35)
-    best = sense * _quad_values(body, form, pts)
+    best = sense * boundary_values(body, form, pts)
     for _ in range(rounds):
         if np.all(step < 1e-8):
             break
@@ -382,7 +419,7 @@ def _pattern_descent(body, form, starts, sense, rounds):
         cand = pts[:, None, :] + step[:, None, None] * moves[None, :, :]
         cand = cand.reshape(-1, n)
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        vals = (sense * _quad_values(body, form, cand)).reshape(pts.shape[0], 2 * n)
+        vals = (sense * boundary_values(body, form, cand)).reshape(pts.shape[0], 2 * n)
         idx = np.argmin(vals, axis=1)
         improved = vals[np.arange(pts.shape[0]), idx] < best - 1e-15
         chosen = cand.reshape(pts.shape[0], 2 * n, n)[np.arange(pts.shape[0]), idx]
@@ -394,17 +431,17 @@ def _pattern_descent(body, form, starts, sense, rounds):
 
 def boundary_quadratic_scan(body: ConvexBody, form: np.ndarray, sense: int = 1, *,
                             net_size: int | None = None, starts: int | None = None,
-                            rounds: int = 48, seed: int = 1234):
+                            rounds: int = 48):
     """Sampled extremum of x^T Q x over the body boundary.
 
     sense=+1 searches the minimum, sense=-1 the maximum.  Returns
     (directions, values): all candidate unit directions considered (net
     plus multistart descent refinements) and x^T Q x at their boundary
-    points.  Deterministic for a fixed seed.
+    points.  Deterministic.
     """
     n = body.dim
     net_pts = _net_boundary(body, net_size)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SCAN_SEED)
     count = 64 * n if starts is None else starts
     g = rng.standard_normal((count, n))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
@@ -413,7 +450,7 @@ def boundary_quadratic_scan(body: ConvexBody, form: np.ndarray, sense: int = 1, 
     top = top / np.linalg.norm(top, axis=1, keepdims=True)
     refined = _pattern_descent(body, form, np.vstack([g, top]), sense, rounds)
     dirs = np.vstack([net_pts / np.linalg.norm(net_pts, axis=1, keepdims=True), refined])
-    vals = np.concatenate([net_vals, _quad_values(body, form, refined)])
+    vals = np.concatenate([net_vals, boundary_values(body, form, refined)])
     return dirs, vals
 
 
@@ -449,7 +486,7 @@ def contains_ellipsoid(body: ConvexBody, ellipsoid, tol: float, *,
     if ellipsoid.dim != body.dim:
         raise ValueError("dimension mismatch between body and ellipsoid")
     q = ellipsoid.q
-    facets = _facet_form(body)
+    facets = body.facet_form
     if facets is not None:
         qi = ellipsoid.q_inv
         t = np.einsum("ij,jk,ik->i", facets, qi, facets)
@@ -457,10 +494,8 @@ def contains_ellipsoid(body: ConvexBody, ellipsoid, tol: float, *,
         margin = 1.0 / t[j] - 1.0
         witness = boundary_point(body, qi @ facets[j])
         return ContainmentVerdict(bool(t[j] <= 1.0 + tol), float(margin), witness, "exact")
-    quadric = _quadric_form(body)
-    if quadric is not None:
-        vals, vecs = sym_eigen(quadric)
-        w = vecs @ np.diag(vals**-0.5) @ vecs.T
+    if body.quadric_form is not None:
+        w = inv_sqrt(body.quadric_form)
         mvals, mvecs = sym_eigen(w @ q @ w)
         margin = mvals[-1] - 1.0
         witness = boundary_point(body, w @ mvecs[:, -1])
@@ -473,29 +508,34 @@ def contains_ellipsoid(body: ConvexBody, ellipsoid, tol: float, *,
     return ContainmentVerdict(bool(margin >= -tol), float(margin), witness, "sampled")
 
 
+def boundary_form_max(body: ConvexBody, form: np.ndarray) -> tuple[float, np.ndarray]:
+    """Max of x^T B x over the body boundary, with a direction where it is
+    found.  Exact through extreme points or a quadric form when the body
+    has them, sampled otherwise."""
+    pts = body.extreme_points
+    if pts is not None:
+        vals = np.einsum("ij,jk,ik->i", pts, form, pts)
+        i = int(np.argmax(vals))
+        return float(vals[i]), pts[i]
+    if body.quadric_form is not None:
+        w = inv_sqrt(body.quadric_form)
+        mvals, mvecs = sym_eigen(w @ form @ w)
+        return float(mvals[0]), w @ mvecs[:, 0]
+    dirs, vals = boundary_quadratic_scan(body, form, sense=-1)
+    i = int(np.argmax(vals))
+    return float(vals[i]), dirs[i]
+
+
 def body_in_ellipsoid(body: ConvexBody, ellipsoid, tol: float) -> tuple[bool, float]:
     """Is the body inside {x : x^T Q x <= 1}?  Returns (verdict, worst excess).
 
-    Exact through extreme points or a quadric form when available, sampled
-    otherwise.  The excess is max over the boundary of x^T Q x - 1.
+    The excess is max over the boundary of x^T Q x - 1, from
+    `boundary_form_max`.
     """
     if ellipsoid.dim != body.dim:
         raise ValueError("dimension mismatch between body and ellipsoid")
-    q = ellipsoid.q
-    pts = _extreme_points(body)
-    if pts is not None:
-        vals = np.einsum("ij,jk,ik->i", pts, q, pts)
-        excess = float(np.max(vals) - 1.0)
-        return excess <= tol, excess
-    quadric = _quadric_form(body)
-    if quadric is not None:
-        vals, vecs = sym_eigen(quadric)
-        w = vecs @ np.diag(vals**-0.5) @ vecs.T
-        mvals, _ = sym_eigen(w @ q @ w)
-        excess = float(mvals[0] - 1.0)
-        return excess <= tol, excess
-    _, vals = boundary_quadratic_scan(body, q, sense=-1)
-    excess = float(np.max(vals) - 1.0)
+    worst, _ = boundary_form_max(body, ellipsoid.q)
+    excess = worst - 1.0
     return excess <= tol, excess
 
 

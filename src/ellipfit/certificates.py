@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import (ConvexBody, _facet_form, boundary_point,
-                     boundary_quadratic_scan, contains_ellipsoid, norm_many)
+from .bodies import (ConvexBody, boundary_point, boundary_quadratic_scan,
+                     boundary_values, contains_ellipsoid, fold_merge)
 from .ellipsoids import Ellipsoid
 from .numerics import solve_nnls
 
@@ -54,26 +54,6 @@ def _svec(m: np.ndarray) -> np.ndarray:
     return np.concatenate([np.diag(m), np.sqrt(2.0) * m[iu]])
 
 
-def _fold_and_merge(points: list[np.ndarray], angle_tol: float = 1e-4) -> np.ndarray:
-    """Canonicalize signs (antipodal pairs carry the same dyad) and merge
-    near-duplicates closer than `angle_tol` radians."""
-    kept: list[np.ndarray] = []
-    units: list[np.ndarray] = []
-    for p in points:
-        u = p / np.linalg.norm(p)
-        k = int(np.argmax(np.abs(u)))
-        if u[k] < 0:
-            u = -u
-            p = -p
-        if any(abs(float(u @ v)) >= np.cos(angle_tol) for v in units):
-            continue
-        kept.append(p)
-        units.append(u)
-    if not kept:
-        return np.empty((0, points[0].size if points else 0))
-    return np.array(kept)
-
-
 def contact_points(body: ConvexBody, f: Ellipsoid, tol: float,
                    extra_directions=None) -> np.ndarray:
     """Points of the body boundary where the inscribed ellipsoid touches.
@@ -87,7 +67,7 @@ def contact_points(body: ConvexBody, f: Ellipsoid, tol: float,
     """
     if f.dim != body.dim:
         raise ValueError("dimension mismatch")
-    facets = _facet_form(body)
+    facets = body.facet_form
     found: list[np.ndarray] = []
     if facets is not None:
         t = np.einsum("ij,jk,ik->i", facets, f.q_inv, facets)
@@ -98,7 +78,7 @@ def contact_points(body: ConvexBody, f: Ellipsoid, tol: float,
         if extra_directions is not None and len(extra_directions):
             extra = np.atleast_2d(np.asarray(extra_directions, dtype=float))
             dirs = np.vstack([dirs, extra])
-            vals = np.concatenate([vals, _boundary_values(body, f.q, extra)])
+            vals = np.concatenate([vals, boundary_values(body, f.q, extra)])
         order = np.argsort(np.abs(vals - 1.0))
         for i in order:
             if abs(vals[i] - 1.0) > tol:
@@ -106,12 +86,7 @@ def contact_points(body: ConvexBody, f: Ellipsoid, tol: float,
             found.append(boundary_point(body, dirs[i]))
     if not found:
         return np.empty((0, body.dim))
-    return _fold_and_merge(found)
-
-
-def _boundary_values(body, form, dirs):
-    x = dirs / norm_many(body, dirs)[:, None]
-    return np.einsum("ij,jk,ik->i", x, form, x)
+    return np.array(fold_merge(found))
 
 
 def isotropy_certificate(e: Ellipsoid, points) -> Certificate:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import SingularTransformError, _SING_TOL
-from .numerics import cholesky, sym_eigen, sym_matrix
+from .bodies import invertible_map
+from .numerics import cholesky, inv_sqrt, sym_matrix
 
 
 @dataclass(frozen=True)
@@ -82,13 +82,7 @@ def polar_wrt(e: Ellipsoid, f: Ellipsoid) -> Ellipsoid:
 
 def ellipsoid_linear_image(matrix, e: Ellipsoid) -> Ellipsoid:
     """The ellipsoid T E, i.e. the form T^{-T} Q_E T^{-1}."""
-    t = np.asarray(matrix, dtype=float)
-    if t.shape != (e.dim, e.dim):
-        raise ValueError("matrix shape does not match the ellipsoid")
-    sv = np.linalg.svd(t, compute_uv=False)
-    if sv[-1] <= _SING_TOL * sv[0]:
-        raise SingularTransformError("transform is numerically singular")
-    ti = np.linalg.inv(t)
+    ti = np.linalg.inv(invertible_map(matrix, e.dim))
     return make_ellipsoid(ti.T @ e.q @ ti)
 
 
@@ -102,8 +96,7 @@ def sample_mu(e: Ellipsoid, count: int, seed: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    vals, vecs = sym_eigen(e.q)
-    root_inv = vecs @ np.diag(vals**-0.5) @ vecs.T
+    root_inv = inv_sqrt(e.q)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((count, e.dim))
     g /= np.linalg.norm(g, axis=1, keepdims=True)

@@ -1,11 +1,12 @@
 """Dense symmetric linear algebra and the small constrained solvers that
-every other module builds on: Cholesky, a Jacobi eigensolver, a bounded
-linear-program solver and nonnegative least squares.
+every other module builds on: Cholesky, the symmetric eigendecomposition
+and inverse square root, a bounded linear-program solver and nonnegative
+least squares.
 
 Everything operates on plain float ndarrays at desk scale (matrix order
-<= ~20).  All kernels are deterministic: the eigensolver is cyclic Jacobi
-with a fixed sweep cap, and the LP/NNLS backends (HiGHS and Lawson-Hanson
-via scipy) are single-threaded and reproducible.
+<= ~20).  All kernels are deterministic: Cholesky and the eigensolver are
+LAPACK through numpy.linalg, and the LP/NNLS backends (HiGHS and
+Lawson-Hanson via scipy) are single-threaded and reproducible.
 """
 
 from __future__ import annotations
@@ -41,71 +42,40 @@ def sym_matrix(entries) -> np.ndarray:
 def cholesky(s: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L @ L.T == s.
 
-    Raises NotPositiveDefiniteError when any pivot falls at or below
+    Raises NotPositiveDefiniteError when any pivot L_ii^2 falls at or below
     1e-12 * trace(s) / dim, which signals a degenerate or indefinite form.
     """
     a = np.asarray(s, dtype=float)
-    n = a.shape[0]
-    thresh = 1e-12 * np.trace(a) / n
-    low = np.zeros_like(a)
-    for i in range(n):
-        for j in range(i + 1):
-            acc = a[i, j] - low[i, :j] @ low[j, :j]
-            if i == j:
-                if acc <= thresh:
-                    raise NotPositiveDefiniteError(
-                        f"pivot {acc:.3e} at index {i} is not above {thresh:.3e}"
-                    )
-                low[i, i] = np.sqrt(acc)
-            else:
-                low[i, j] = acc / low[j, j]
+    thresh = 1e-12 * np.trace(a) / a.shape[0]
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"not positive definite: {exc}") from exc
+    pivots = np.diag(low) ** 2
+    i = int(np.argmin(pivots))
+    if pivots[i] <= thresh:
+        raise NotPositiveDefiniteError(
+            f"pivot {pivots[i]:.3e} at index {i} is not above {thresh:.3e}")
     return low
 
 
 def sym_eigen(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Eigen-decomposition of a symmetric matrix (LAPACK via numpy.linalg.eigh).
 
-    Returns (values, vectors) with eigenvalues sorted descending and the
-    matching orthonormal eigenvectors as columns.  Deterministic; capped
-    at 100 * dim**2 sweeps, after which NoConvergenceError is raised.
+    Returns (values, vectors) with eigenvalues sorted descending (equal
+    values keep eigh's order) and the matching orthonormal eigenvectors as
+    columns.
     """
-    a = sym_matrix(s)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a[0, :1].copy(), v
-    scale = max(1.0, float(np.linalg.norm(a)))
-    tol = 1e-14 * scale
-    cap = 100 * n * n
-    for _ in range(cap):
-        off = np.sqrt(2.0 * np.sum(np.tril(a, -1) ** 2))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol / (2 * n):
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                sn = t * c
-                # A <- J^T A J, V <- V J with J the (p,q) rotation.
-                ap, aq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * ap - sn * aq
-                a[:, q] = sn * ap + c * aq
-                ap, aq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * ap - sn * aq
-                a[q, :] = sn * ap + c * aq
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - sn * vq
-                v[:, q] = sn * vp + c * vq
-    else:
-        raise NoConvergenceError(f"Jacobi sweeps exceeded cap {cap}")
-    vals = np.diag(a).copy()
+    vals, vecs = np.linalg.eigh(sym_matrix(s))
     order = np.argsort(-vals, kind="stable")
-    return vals[order], v[:, order]
+    return vals[order], vecs[:, order]
+
+
+def inv_sqrt(s: np.ndarray) -> np.ndarray:
+    """Symmetric inverse square root S^{-1/2} of a positive-definite matrix:
+    the whitening map that takes {x : x^T S x <= 1} to the unit ball."""
+    vals, vecs = sym_eigen(s)
+    return vecs @ np.diag(vals**-0.5) @ vecs.T
 
 
 @dataclass(frozen=True)

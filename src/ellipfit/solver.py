@@ -50,13 +50,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import (ConvexBody, LpBall, PolytopeV, _extreme_points, _facet_form,
-                     _quadric_form, _scaled_normal, boundary_point,
-                     boundary_quadratic_scan, body_in_ellipsoid,
-                     contains_ellipsoid, linear_image, polar)
+from .bodies import (ConvexBody, LpBall, PolytopeV, body_in_ellipsoid,
+                     boundary_form_max, boundary_point, boundary_quadratic_scan,
+                     canonical_pair, contains_ellipsoid, fold_merge, linear_image,
+                     polar)
 from .ellipsoids import Ellipsoid, form_distance, m_ellipsoid, make_ellipsoid
-from .numerics import (LpProblem, NotPositiveDefiniteError, cholesky, solve_lp,
-                       solve_nnls, sym_eigen)
+from .numerics import (LpProblem, NotPositiveDefiniteError, cholesky, inv_sqrt,
+                       solve_lp, solve_nnls, sym_eigen)
 
 # Violation floor near the LP solver's own feasibility tolerance; below it
 # further cutting cannot make progress and the polish takes over.
@@ -309,11 +309,7 @@ class _CutPool:
         self._units: list[np.ndarray] = []
 
     def push(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        u = x / np.linalg.norm(x)
-        k = int(np.argmax(np.abs(u)))
-        if u[k] < 0:
-            u, x = -u, -x
+        x, u = canonical_pair(np.asarray(x, dtype=float))
         cos_tol = np.cos(1e-6)
         for i, old in enumerate(self._units):
             if abs(float(old @ u)) >= cos_tol:
@@ -336,12 +332,14 @@ def _initial_cuts(body: ConvexBody, seed: int) -> _CutPool:
     for d in rng.standard_normal((4 * n, n)):
         if np.any(d):
             pool.push(boundary_point(body, d))
-    # extreme points are boundary points where violations concentrate for
-    # vertex-described bodies; seeding them saves separation-oracle rounds
-    pts = _extreme_points(body)
+    # extreme points lie where violations concentrate for vertex-described
+    # bodies; seeding them saves separation-oracle rounds.  They go through
+    # boundary_point because the listed points may include interior ones
+    # (redundant generators), where x^T B x >= 1 would be an invalid cut.
+    pts = body.extreme_points
     if pts is not None and pts.shape[0] <= 64:
         for p in pts:
-            pool.push(p)
+            pool.push(boundary_point(body, p))
     return pool
 
 
@@ -351,7 +349,7 @@ def _cut_loop(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig, seed: int):
     pairs = _pairs(n)
     obj = _obj_vec(e.q_inv, pairs)
     pool = _initial_cuts(body, seed)
-    exact_oracle = _quadric_form(body) is not None
+    exact_oracle = body.quadric_form is not None
     floor = max(cfg.tol_feas, _LP_FLOOR)
     prev_obj = None
     floor_rounds = 0
@@ -419,20 +417,6 @@ def _cut_loop(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig, seed: int):
 #   "smooth" -- payload (normal_fn, boundary_fn) for curved boundaries
 #   "frozen" -- point held fixed (vertex-like contact); only its weight moves
 
-def _fold_merge_points(points, angle_tol=1e-4):
-    kept, units = [], []
-    for p in points:
-        u = p / np.linalg.norm(p)
-        k = int(np.argmax(np.abs(u)))
-        if u[k] < 0:
-            u, p = -u, -p
-        if any(abs(float(u @ v)) >= np.cos(angle_tol) for v in units):
-            continue
-        kept.append(p)
-        units.append(u)
-    return kept
-
-
 def _vrep_facet_normal(body, x):
     """Local supporting-facet normal of a 2-d vertex polytope at a boundary
     point x: solve for h with h . w = 1 on the two generators bracketing x
@@ -466,10 +450,9 @@ def _vrep_facet_normal(body, x):
 def _collect_contacts(body, b0, cfg):
     window = max(1e-3, 100.0 * cfg.tol_feas)
     n = body.dim
-    quadric = _quadric_form(body)
+    quadric = body.quadric_form
     if quadric is not None:
-        vals, vecs = sym_eigen(quadric)
-        w = vecs @ np.diag(vals**-0.5) @ vecs.T
+        w = inv_sqrt(quadric)
         mvals, mvecs = sym_eigen(w @ b0 @ w)
 
         def normal(x, _q=quadric):
@@ -480,7 +463,7 @@ def _collect_contacts(body, b0, cfg):
 
         return [("smooth", w @ mvecs[:, i], (normal, on_boundary))
                 for i in np.flatnonzero(np.abs(mvals - 1.0) <= window)]
-    smooth = _scaled_normal(body)
+    smooth = body.scaled_normal
     if smooth is not None:
         dirs, vals = boundary_quadratic_scan(body, b0, sense=1)
         hits = [boundary_point(body, dirs[i])
@@ -490,13 +473,13 @@ def _collect_contacts(body, b0, cfg):
             return _body.norm(x) - 1.0
 
         return [("smooth", x, (smooth, on_boundary))
-                for x in _fold_merge_points(hits)]
+                for x in fold_merge(hits)]
     if isinstance(body, PolytopeV) and n == 2:
         dirs, vals = boundary_quadratic_scan(body, b0, sense=1)
         hits = [boundary_point(body, dirs[i])
                 for i in np.flatnonzero(np.abs(vals - 1.0) <= window)]
         contacts = []
-        for x in _fold_merge_points(hits):
+        for x in fold_merge(hits):
             h = _vrep_facet_normal(body, x)
             if h is not None:
                 contacts.append(("plane", x, h))
@@ -651,7 +634,7 @@ def solve_u(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) ->
         raise ValueError("dimension mismatch between body and ellipsoid")
     if cfg.max_cuts < 2 * body.dim:
         raise ValueError("max_cuts must be at least 2 * dim")
-    facets = _facet_form(body)
+    facets = body.facet_form
     runs = []
     total_lp = 0
     for r in range(cfg.restarts):
@@ -726,30 +709,6 @@ def iterate_u(body: ConvexBody, e0: Ellipsoid, steps: int,
 # --------------------------------------------------------------------------
 # Circumscribed problem.
 
-def _boundary_form_max(body, form):
-    """Max of x^T B x over the body boundary with a witness direction."""
-    pts = _extreme_points(body)
-    if pts is not None:
-        vals = np.einsum("ij,jk,ik->i", pts, form, pts)
-        i = int(np.argmax(vals))
-        return float(vals[i]), pts[i]
-    quadric = _quadric_form(body)
-    if quadric is not None:
-        vals, vecs = sym_eigen(quadric)
-        w = vecs @ np.diag(vals**-0.5) @ vecs.T
-        mvals, mvecs = sym_eigen(w @ form @ w)
-        return float(mvals[0]), w @ mvecs[:, 0]
-    dirs, vals = boundary_quadratic_scan(body, form, sense=-1)
-    i = int(np.argmax(vals))
-    return float(vals[i]), dirs[i]
-
-
-def _canonical_unit(v):
-    u = v / np.linalg.norm(v)
-    k = int(np.argmax(np.abs(u)))
-    return u if u[k] >= 0 else -u
-
-
 def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) -> DualReport:
     """Circumscribed ellipsoids maximizing the mean-square gauge over E.
 
@@ -769,7 +728,7 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
     n = body.dim
     pairs = _pairs(n)
     obj = _obj_vec(e.q_inv, pairs)
-    exact_pts = _extreme_points(body)
+    exact_pts = body.extreme_points
     upper = _CutPool()
     lower = _CutPool()
     if exact_pts is not None:
@@ -799,7 +758,7 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
             lower.push(boundary_point(body, vecs[:, -1]))
             continue
         if exact_pts is None:
-            worst, direction = _boundary_form_max(body, b)
+            worst, direction = boundary_form_max(body, b)
             if worst > 1.0 + cfg.tol_feas:
                 upper.push(boundary_point(body, direction))
                 continue
@@ -845,7 +804,7 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
 
     def valid(cand):
         if exact_pts is None:
-            worst, _ = _boundary_form_max(body, cand)
+            worst, _ = boundary_form_max(body, cand)
             if worst > 1.0 + 10.0 * cfg.tol_feas:
                 return False
         return True
@@ -862,7 +821,7 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
     if not pd:
         vals, vecs = sym_eigen(b)
         return DualReport(status="non_attained", i_value=i_value, maximizer=None,
-                          degenerate_direction=_canonical_unit(vecs[:, -1]),
+                          degenerate_direction=canonical_pair(vecs[:, -1])[1],
                           uniqueness="unknown", second=None)
     pd.sort(key=lambda item: -item[0])
     best = pd[0][1]

@@ -227,3 +227,41 @@ def test_construction_rejects_degenerate_inputs():
         ef.LpBall(0.5, 1.0, 2)
     with pytest.raises(ValueError):
         ef.LpBall(2, -1.0, 2)
+
+
+def test_nested_json_image_matches_linear_image_twin():
+    # body_from_json keeps LinearImage(T2, LinearImage(T1, K)) as built, while
+    # linear_image pushes T2 T1 into polytope data: the structure each body
+    # composes through its maps must give the same oracles and solves.
+    t1 = np.array([[1.0, 0.4], [-0.3, 0.9]])
+    t2 = np.array([[0.7, 0.0], [0.5, 1.2]])
+    inners = [
+        {"dim": 2, "type": "polytope_h", "facets": [[1.0, 0.0], [0.3, 1.0], [1.0, -1.0]]},
+        {"dim": 2, "type": "polytope_v", "generators": [[1.0, 0.2], [0.1, 1.0], [0.8, -0.7]]},
+    ] + [{"dim": 2, "type": "lp_ball", "p": p, "radius": 1.5} for p in (1, 2, 3, "inf")]
+    rng = np.random.default_rng(11)
+    pts = rng.standard_normal((40, 2))
+    small, large = ef.make_ellipsoid(25.0 * np.eye(2)), ef.make_ellipsoid(0.01 * np.eye(2))
+    e = ef.make_ellipsoid([[2.0, 0.7], [0.7, 1.3]])
+    for inner in inners:
+        doc = {"dim": 2, "type": "linear_image", "matrix": t2.tolist(),
+               "inner": {"dim": 2, "type": "linear_image", "matrix": t1.tolist(),
+                         "inner": inner}}
+        nested = ef.body_from_json(doc)
+        twin = ef.linear_image(t2 @ t1, ef.body_from_json(inner))
+        a, b = ef.norm_many(nested, pts), ef.norm_many(twin, pts)
+        assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b)), inner
+        for ell in (small, large):
+            # a coarse scan keeps the sampled (vertex-polytope) case fast
+            va, vb = (ef.contains_ellipsoid(body, ell, 1e-9, net_size=90, starts=4, rounds=8)
+                      for body in (nested, twin))
+            assert (va.method, va.contained) == (vb.method, vb.contained), inner
+            (oka, exa), (okb, exb) = (ef.body_in_ellipsoid(nested, ell, 1e-9),
+                                      ef.body_in_ellipsoid(twin, ell, 1e-9))
+            assert oka == okb and abs(exa - exb) <= 1e-9 * (1.0 + abs(exb)), inner
+        if nested.facet_form is None and nested.quadric_form is None:
+            continue  # cut-loop bodies: too slow for this suite
+        ra, rb = ef.solve_u(nested, e), ef.solve_u(twin, e)
+        assert abs(ra.j_value - rb.j_value) <= 1e-9 * rb.j_value, inner
+        if nested.facet_form is not None:
+            assert ra.gap is not None and rb.gap is not None, inner

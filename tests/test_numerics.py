@@ -29,6 +29,9 @@ def test_cholesky_singular_rejected():
         cholesky(np.diag([1.0, 0.0]))
     with pytest.raises(NotPositiveDefiniteError):
         cholesky(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    # positive definite to LAPACK, but the pivot is below 1e-12 * trace / dim
+    with pytest.raises(NotPositiveDefiniteError):
+        cholesky(np.diag([1.0, 1e-13]))
 
 
 def test_cholesky_random_spd_roundtrip():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ellipfit as ef
-from ellipfit.solver import SolveConfig
+from ellipfit.solver import SolveConfig, _initial_cuts
 from util import (cross_h, cross_v, cube_h, rand_invertible, rand_polytope_h,
                   rand_spd_ellipsoid, rectangle_h, square_h)
 
@@ -43,6 +43,17 @@ def test_solve_u_vertex_polytope_matches_facet_form():
     rep_v = ef.solve_u(cross_v(2), BALL2)
     rep_h = ef.solve_u(cross_h(2), BALL2)
     assert ef.form_distance(rep_v.minimizer, rep_h.minimizer) < 1e-4
+
+
+def test_initial_cuts_lie_on_the_boundary():
+    # Two of these five generators are interior (gauges 0.26 and 0.81);
+    # seeded as cuts x^T B x >= 1 they cut off the optimum, and the solve
+    # ended "optimal" with J = 3.6171 instead of 2.93928521871.
+    body = ef.PolytopeV(np.random.default_rng(7).standard_normal((5, 2)))
+    for seed in (0, 7919):
+        pool = _initial_cuts(body, seed)
+        gauges = ef.norm_many(body, np.array(pool.points))
+        assert np.all(np.abs(gauges - 1.0) <= 1e-7)
 
 
 def test_solve_u_rejects_dimension_mismatch():
