@@ -67,7 +67,8 @@ def invertible_map(matrix, dim: int) -> np.ndarray:
 
 
 class ConvexBody:
-    """Base type; concrete bodies implement the gauge norm and support.
+    """Base type; concrete bodies implement the batched gauge `norm_many`
+    and the support function.
 
     Exact structure is computed on first use and kept; each attribute is
     None for a body without that structure:
@@ -93,6 +94,10 @@ class ConvexBody:
         self.boundary_nets: dict = {}
 
     def norm(self, x) -> float:
+        return float(norm_many(self, np.asarray(x, dtype=float)[None])[0])
+
+    def norm_many(self, pts: np.ndarray) -> np.ndarray:
+        """Gauge of every row of the 2-d float array `pts`."""
         raise NotImplementedError
 
     def support(self, theta) -> float:
@@ -115,8 +120,8 @@ class PolytopeH(ConvexBody):
     def facet_form(self):
         return self.facets
 
-    def norm(self, x) -> float:
-        return float(np.max(np.abs(self.facets @ np.asarray(x, dtype=float))))
+    def norm_many(self, pts):
+        return np.max(np.abs(pts @ self.facets.T), axis=1)
 
     def support(self, theta) -> float:
         theta = np.asarray(theta, dtype=float)
@@ -138,25 +143,26 @@ class PolytopeV(ConvexBody):
     def extreme_points(self):
         return self.generators
 
-    def norm(self, x) -> float:
-        # min sum |c_k| s.t. sum c_k w_k = x, solved as an LP with c split
-        # into nonnegative parts.
-        x = np.asarray(x, dtype=float)
-        if not np.any(x):
-            return 0.0
-        a = self.generators.T  # (n, m)
-        m = a.shape[1]
-        c0 = np.linalg.lstsq(a, x, rcond=None)[0]
-        ub = float(np.sum(np.abs(c0))) + 1.0
-        wide = np.hstack([a, -a])  # (n, 2m)
-        rows = []
-        for i in range(a.shape[0]):
-            rows.append((wide[i], float(x[i])))
-            rows.append((-wide[i], float(-x[i])))
-        eye = np.eye(2 * m)
-        rows.extend((eye[j], 0.0) for j in range(2 * m))
-        sol = solve_lp(LpProblem(np.ones(2 * m), tuple(rows), box=ub))
-        return float(np.sum(sol.x))
+    def norm_many(self, pts):
+        # One block-diagonal LP: each block solves min sum(z) s.t. [W^T -W^T] z = x.
+        k = pts.shape[0]
+        a = self.generators.T
+        n, m = a.shape
+        wide = np.hstack([a, -a])
+        if k <= 32:  # dense skips scipy's sparse input path (~0.7 ms per LP) until ~64 points
+            blocks = np.kron(np.eye(k), wide)
+        else:  # row i of block b holds wide[i] in columns 2mb .. 2mb + 2m - 1
+            cols = np.tile(2 * m * np.arange(k)[:, None, None] + np.arange(2 * m), (1, n, 1))
+            blocks = sparse.csr_matrix((np.tile(wide.ravel(), k), cols.ravel(),
+                                        np.arange(0, 2 * m * n * k + 1, 2 * m)),
+                                       shape=(n * k, 2 * m * k))
+        res = linprog(np.ones(2 * m * k), A_eq=blocks, b_eq=pts.ravel(),
+                      bounds=(0, None), method="highs")
+        if res.status != 0:
+            raise RuntimeError(f"batched gauge LP failed: {res.message}")
+        out = res.x.reshape(k, 2 * m).sum(axis=1)
+        out[~np.any(pts, axis=1)] = 0.0
+        return out
 
     def support(self, theta) -> float:
         return float(np.max(np.abs(self.generators @ np.asarray(theta, dtype=float))))
@@ -185,8 +191,8 @@ class LpBall(ConvexBody):
             return 1.0
         return self.p / (self.p - 1.0)
 
-    def norm(self, x) -> float:
-        return float(np.linalg.norm(np.asarray(x, dtype=float), ord=self.p) / self.radius)
+    def norm_many(self, pts):
+        return np.linalg.norm(pts, ord=self.p, axis=1) / self.radius
 
     def support(self, theta) -> float:
         theta = np.asarray(theta, dtype=float)
@@ -235,8 +241,8 @@ class LinearImage(ConvexBody):
         self.matrix_inv = np.linalg.inv(t)
         self.inner = inner
 
-    def norm(self, x) -> float:
-        return self.inner.norm(self.matrix_inv @ np.asarray(x, dtype=float))
+    def norm_many(self, pts):
+        return norm_many(self.inner, pts @ self.matrix_inv.T)
 
     def support(self, theta) -> float:
         return self.inner.support(self.matrix.T @ np.asarray(theta, dtype=float))
@@ -334,38 +340,7 @@ def fold_merge(points) -> list[np.ndarray]:
 
 def norm_many(body: ConvexBody, points: np.ndarray) -> np.ndarray:
     """Gauge norm of every row of `points`."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if isinstance(body, PolytopeH):
-        return np.max(np.abs(pts @ body.facets.T), axis=1)
-    if isinstance(body, LpBall):
-        return np.linalg.norm(pts, ord=body.p, axis=1) / body.radius
-    if isinstance(body, LinearImage):
-        return norm_many(body.inner, pts @ body.matrix_inv.T)
-    if isinstance(body, PolytopeV):
-        return _norm_many_vrep(body, pts)
-    return np.array([body.norm(p) for p in pts])
-
-
-def _norm_many_vrep(body: PolytopeV, pts: np.ndarray) -> np.ndarray:
-    # One block-diagonal LP: each block solves min sum(z) s.t. [W^T -W^T] z = x.
-    k = pts.shape[0]
-    a = body.generators.T
-    n, m = a.shape
-    wide = np.hstack([a, -a])
-    zero_rows = ~np.any(pts, axis=1)
-    rows = (np.repeat(np.arange(k) * n, n * 2 * m)
-            + np.tile(np.repeat(np.arange(n), 2 * m), k))
-    cols = (np.repeat(np.arange(k) * 2 * m, n * 2 * m)
-            + np.tile(np.tile(np.arange(2 * m), n), k))
-    data = np.tile(wide.ravel(), k)
-    blocks = sparse.csr_matrix((data, (rows, cols)), shape=(n * k, 2 * m * k))
-    res = linprog(np.ones(2 * m * k), A_eq=blocks, b_eq=pts.ravel(),
-                  bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"batched gauge LP failed: {res.message}")
-    out = res.x.reshape(k, 2 * m).sum(axis=1)
-    out[zero_rows] = 0.0
-    return out
+    return body.norm_many(np.atleast_2d(np.asarray(points, dtype=float)))
 
 
 def direction_net(dim: int, size: int | None = None) -> np.ndarray:
@@ -389,7 +364,7 @@ def direction_net(dim: int, size: int | None = None) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def boundary_values(body: ConvexBody, form: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+def _boundary_values(body: ConvexBody, form: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """x^T Q x at the boundary points x = dir / gauge(dir)."""
     gauges = norm_many(body, dirs)
     x = dirs / gauges[:, None]
@@ -411,7 +386,7 @@ def _pattern_descent(body, form, starts, sense, rounds):
     pts = starts / np.linalg.norm(starts, axis=1, keepdims=True)
     n = pts.shape[1]
     step = np.full(pts.shape[0], 0.35)
-    best = sense * boundary_values(body, form, pts)
+    best = sense * _boundary_values(body, form, pts)
     for _ in range(rounds):
         if np.all(step < 1e-8):
             break
@@ -419,7 +394,7 @@ def _pattern_descent(body, form, starts, sense, rounds):
         cand = pts[:, None, :] + step[:, None, None] * moves[None, :, :]
         cand = cand.reshape(-1, n)
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        vals = (sense * boundary_values(body, form, cand)).reshape(pts.shape[0], 2 * n)
+        vals = (sense * _boundary_values(body, form, cand)).reshape(pts.shape[0], 2 * n)
         idx = np.argmin(vals, axis=1)
         improved = vals[np.arange(pts.shape[0]), idx] < best - 1e-15
         chosen = cand.reshape(pts.shape[0], 2 * n, n)[np.arange(pts.shape[0]), idx]
@@ -450,7 +425,7 @@ def boundary_quadratic_scan(body: ConvexBody, form: np.ndarray, sense: int = 1, 
     top = top / np.linalg.norm(top, axis=1, keepdims=True)
     refined = _pattern_descent(body, form, np.vstack([g, top]), sense, rounds)
     dirs = np.vstack([net_pts / np.linalg.norm(net_pts, axis=1, keepdims=True), refined])
-    vals = np.concatenate([net_vals, boundary_values(body, form, refined)])
+    vals = np.concatenate([net_vals, _boundary_values(body, form, refined)])
     return dirs, vals
 
 
@@ -470,60 +445,60 @@ class ContainmentVerdict:
     method: str
 
 
+def _boundary_extremum(body: ConvexBody, form: np.ndarray, sense: int, form_inv=None,
+                       **scan) -> tuple[float, np.ndarray, str]:
+    """Min (sense=+1) or max (sense=-1) of x^T Q x over the body boundary,
+    as (value, direction where it lies, method).  "exact" through the
+    facets for the min (1 / max_j h_j^T Q^{-1} h_j, with Q^{-1} passed as
+    `form_inv`), the extreme points for the max, or the eigenvalues of a
+    quadric; "sampled" by `boundary_quadratic_scan` otherwise."""
+    facets = body.facet_form
+    if sense > 0 and facets is not None:
+        t = np.einsum("ij,jk,ik->i", facets, form_inv, facets)
+        j = int(np.argmax(t))
+        return float(1.0 / t[j]), form_inv @ facets[j], "exact"
+    pts = body.extreme_points
+    if sense < 0 and pts is not None:
+        vals = np.einsum("ij,jk,ik->i", pts, form, pts)
+        i = int(np.argmax(vals))
+        return float(vals[i]), pts[i], "exact"
+    if body.quadric_form is not None:
+        w = inv_sqrt(body.quadric_form)
+        mvals, mvecs = sym_eigen(w @ form @ w)
+        k = -1 if sense > 0 else 0
+        return float(mvals[k]), w @ mvecs[:, k], "exact"
+    dirs, vals = boundary_quadratic_scan(body, form, sense, **scan)
+    i = int(np.argmin(sense * vals))
+    return float(vals[i]), dirs[i], "sampled"
+
+
 def contains_ellipsoid(body: ConvexBody, ellipsoid, tol: float, *,
                        net_size: int | None = None, starts: int | None = None,
                        rounds: int = 48) -> ContainmentVerdict:
     """Separation oracle: is {x : x^T Q x <= 1} inside the body?
 
-    Containment is equivalent to x^T Q x >= 1 on the whole body boundary.
-    Facet polytopes (and bodies reducible to them) are tested exactly via
-    h^T Q^{-1} h <= 1 per facet; ellipsoidal bodies via an eigenvalue
-    bound; everything else by a direction net plus multistart descent,
-    flagged as "sampled".
+    Containment is equivalent to x^T Q x >= 1 on the whole body boundary,
+    so the verdict reads the boundary minimum of `_boundary_extremum`:
+    exact for facet forms (h^T Q^{-1} h <= 1 per facet) and ellipsoidal
+    bodies, a direction net plus multistart descent otherwise.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if ellipsoid.dim != body.dim:
         raise ValueError("dimension mismatch between body and ellipsoid")
-    q = ellipsoid.q
-    facets = body.facet_form
-    if facets is not None:
-        qi = ellipsoid.q_inv
-        t = np.einsum("ij,jk,ik->i", facets, qi, facets)
-        j = int(np.argmax(t))
-        margin = 1.0 / t[j] - 1.0
-        witness = boundary_point(body, qi @ facets[j])
-        return ContainmentVerdict(bool(t[j] <= 1.0 + tol), float(margin), witness, "exact")
-    if body.quadric_form is not None:
-        w = inv_sqrt(body.quadric_form)
-        mvals, mvecs = sym_eigen(w @ q @ w)
-        margin = mvals[-1] - 1.0
-        witness = boundary_point(body, w @ mvecs[:, -1])
-        return ContainmentVerdict(bool(margin >= -tol), float(margin), witness, "exact")
-    dirs, vals = boundary_quadratic_scan(body, q, sense=1, net_size=net_size,
-                                         starts=starts, rounds=rounds)
-    i = int(np.argmin(vals))
-    margin = vals[i] - 1.0
-    witness = boundary_point(body, dirs[i])
-    return ContainmentVerdict(bool(margin >= -tol), float(margin), witness, "sampled")
+    low, direction, method = _boundary_extremum(
+        body, ellipsoid.q, 1, ellipsoid.q_inv, net_size=net_size, starts=starts, rounds=rounds)
+    margin = low - 1.0
+    return ContainmentVerdict(bool(margin >= -tol), float(margin),
+                              boundary_point(body, direction), method)
 
 
 def boundary_form_max(body: ConvexBody, form: np.ndarray) -> tuple[float, np.ndarray]:
     """Max of x^T B x over the body boundary, with a direction where it is
     found.  Exact through extreme points or a quadric form when the body
     has them, sampled otherwise."""
-    pts = body.extreme_points
-    if pts is not None:
-        vals = np.einsum("ij,jk,ik->i", pts, form, pts)
-        i = int(np.argmax(vals))
-        return float(vals[i]), pts[i]
-    if body.quadric_form is not None:
-        w = inv_sqrt(body.quadric_form)
-        mvals, mvecs = sym_eigen(w @ form @ w)
-        return float(mvals[0]), w @ mvecs[:, 0]
-    dirs, vals = boundary_quadratic_scan(body, form, sense=-1)
-    i = int(np.argmax(vals))
-    return float(vals[i]), dirs[i]
+    high, direction, _ = _boundary_extremum(body, form, -1)
+    return high, direction
 
 
 def body_in_ellipsoid(body: ConvexBody, ellipsoid, tol: float) -> tuple[bool, float]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import (ConvexBody, boundary_point, boundary_quadratic_scan,
-                     boundary_values, contains_ellipsoid, fold_merge)
+                     contains_ellipsoid, fold_merge)
 from .ellipsoids import Ellipsoid
 from .numerics import solve_nnls
 
@@ -54,8 +54,7 @@ def _svec(m: np.ndarray) -> np.ndarray:
     return np.concatenate([np.diag(m), np.sqrt(2.0) * m[iu]])
 
 
-def contact_points(body: ConvexBody, f: Ellipsoid, tol: float,
-                   extra_directions=None) -> np.ndarray:
+def contact_points(body: ConvexBody, f: Ellipsoid, tol: float) -> np.ndarray:
     """Points of the body boundary where the inscribed ellipsoid touches.
 
     For facet polytopes each facet with h^T Q_F^{-1} h within tol of 1
@@ -68,22 +67,14 @@ def contact_points(body: ConvexBody, f: Ellipsoid, tol: float,
     if f.dim != body.dim:
         raise ValueError("dimension mismatch")
     facets = body.facet_form
-    found: list[np.ndarray] = []
     if facets is not None:
         t = np.einsum("ij,jk,ik->i", facets, f.q_inv, facets)
-        for j in np.flatnonzero(np.abs(t - 1.0) <= tol):
-            found.append((f.q_inv @ facets[j]) / np.sqrt(t[j]))
+        found = [(f.q_inv @ facets[j]) / np.sqrt(t[j])
+                 for j in np.flatnonzero(np.abs(t - 1.0) <= tol)]
     else:
         dirs, vals = boundary_quadratic_scan(body, f.q, sense=1)
-        if extra_directions is not None and len(extra_directions):
-            extra = np.atleast_2d(np.asarray(extra_directions, dtype=float))
-            dirs = np.vstack([dirs, extra])
-            vals = np.concatenate([vals, boundary_values(body, f.q, extra)])
-        order = np.argsort(np.abs(vals - 1.0))
-        for i in order:
-            if abs(vals[i] - 1.0) > tol:
-                break
-            found.append(boundary_point(body, dirs[i]))
+        gaps = np.abs(vals - 1.0)
+        found = [boundary_point(body, dirs[i]) for i in np.argsort(gaps) if gaps[i] <= tol]
     if not found:
         return np.empty((0, body.dim))
     return np.array(fold_merge(found))

@@ -23,6 +23,9 @@ quadratic model; where a Newton step fails, a pairwise step between two
 facets may replace the multiplicative one.  The positive weights at the
 optimum are the isotropy certificate.
 
+An ellipsoidal body {x : x^T Q_K x <= 1} is its own minimizer: every
+inscribed form satisfies B >= Q_K, so B = Q_K in closed form.
+
 Other bodies run a cutting-plane loop on the n(n+1)/2 free entries of B:
 the semi-infinite constraint family "x^T B x >= 1 on the body boundary"
 is relaxed to finitely many boundary-point cuts:
@@ -35,13 +38,15 @@ is relaxed to finitely many boundary-point cuts:
 
 After convergence a guarded Newton polish solves the contact equations
 (touching points on their facets, tangency, and the weighted-dyad
-identity for the objective gradient) to pin the optimum well below the
+identity for the objective gradient) at the points
+`certificates.contact_points` finds, to pin the optimum well below the
 LP feasibility floor, and a final rescale makes containment exact.
 
 `solve_u_bar` runs the mirrored circumscribed problem, maximize
 trace(Q_E^{-1} B) subject to 0 <= x^T B x <= 1 on the boundary, with
-two-sided cuts, and probes the optimal face for non-attainment (a
-singular optimal form) and non-uniqueness.
+two-sided cuts.  Unless its LP budget runs out first, it then probes the
+optimal face for non-attainment (a singular optimal form) and
+non-uniqueness.
 """
 
 from __future__ import annotations
@@ -51,9 +56,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import (ConvexBody, LpBall, PolytopeV, body_in_ellipsoid,
-                     boundary_form_max, boundary_point, boundary_quadratic_scan,
-                     canonical_pair, contains_ellipsoid, fold_merge, linear_image,
-                     polar)
+                     boundary_form_max, boundary_point, canonical_pair,
+                     contains_ellipsoid, linear_image, polar)
+from .certificates import contact_points
 from .ellipsoids import Ellipsoid, form_distance, m_ellipsoid, make_ellipsoid
 from .numerics import (LpProblem, NotPositiveDefiniteError, cholesky, inv_sqrt,
                        solve_lp, solve_nnls, sym_eigen)
@@ -274,30 +279,31 @@ def _dual_run(facets, e: Ellipsoid, max_iter: int, seed: int):
 
 
 # --------------------------------------------------------------------------
-# Symmetric-form packing: diagonal entries first, then pairs (p < q).
+# Symmetric-form packing: diagonal entries first, then the strict upper
+# triangle (p < q) row by row, as indexed by `_pairs`.
 
 def _pairs(n):
-    return [(p, q) for p in range(n) for q in range(p + 1, n)]
+    return np.triu_indices(n, k=1)
 
 
 def _pack(m, pairs):
-    return np.concatenate([np.diag(m), [m[p, q] for p, q in pairs]])
+    return np.concatenate([np.diag(m), m[pairs]])
 
 
 def _unpack(v, n, pairs):
     b = np.diag(v[:n]).astype(float)
-    for k, (p, q) in enumerate(pairs):
-        b[p, q] = b[q, p] = v[n + k]
+    b[pairs] = b.T[pairs] = v[n:]
     return b
 
 
 def _cut_row(x, pairs):
-    return np.concatenate([x * x, [2.0 * x[p] * x[q] for p, q in pairs]])
+    p, q = pairs
+    return np.concatenate([x * x, 2.0 * x[p] * x[q]])
 
 
 def _obj_vec(c, pairs):
     # trace(C B) in packed coordinates.
-    return np.concatenate([np.diag(c), [2.0 * c[p, q] for p, q in pairs]])
+    return np.concatenate([np.diag(c), 2.0 * c[pairs]])
 
 
 class _CutPool:
@@ -349,7 +355,6 @@ def _cut_loop(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig, seed: int):
     pairs = _pairs(n)
     obj = _obj_vec(e.q_inv, pairs)
     pool = _initial_cuts(body, seed)
-    exact_oracle = body.quadric_form is not None
     floor = max(cfg.tol_feas, _LP_FLOOR)
     prev_obj = None
     floor_rounds = 0
@@ -369,16 +374,12 @@ def _cut_loop(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig, seed: int):
             continue
         last_pd = b
         candidate = make_ellipsoid(b)
-        if exact_oracle:
+        # cheap scan first: any violation it finds is a valid cut, and only
+        # an apparent pass pays for the full-resolution scan
+        verdict = contains_ellipsoid(body, candidate, cfg.tol_feas,
+                                     net_size=max(180, 32 * n), starts=16, rounds=24)
+        if verdict.worst_margin >= -cfg.tol_feas:
             verdict = contains_ellipsoid(body, candidate, cfg.tol_feas)
-        else:
-            # cheap scan first: any violation it finds is a valid cut, and
-            # only an apparent pass pays for the full-resolution scan
-            verdict = contains_ellipsoid(body, candidate, cfg.tol_feas,
-                                         net_size=max(180, 32 * n), starts=16,
-                                         rounds=24)
-            if verdict.worst_margin >= -cfg.tol_feas:
-                verdict = contains_ellipsoid(body, candidate, cfg.tol_feas)
         margin = verdict.worst_margin
         obj_val = float(obj @ sol.x)
         if margin < -cfg.tol_feas:
@@ -448,49 +449,28 @@ def _vrep_facet_normal(body, x):
 
 
 def _collect_contacts(body, b0, cfg):
-    window = max(1e-3, 100.0 * cfg.tol_feas)
-    n = body.dim
-    quadric = body.quadric_form
-    if quadric is not None:
-        w = inv_sqrt(quadric)
-        mvals, mvecs = sym_eigen(w @ b0 @ w)
-
-        def normal(x, _q=quadric):
-            return _q @ x
-
-        def on_boundary(x, _q=quadric):
-            return float(x @ _q @ x) - 1.0
-
-        return [("smooth", w @ mvecs[:, i], (normal, on_boundary))
-                for i in np.flatnonzero(np.abs(mvals - 1.0) <= window)]
+    """Contact triples for the polish: the scaled normal on a smooth
+    boundary; on a 2-d vertex polytope the supporting facet, or a frozen
+    point at a vertex.  Other bodies get none."""
     smooth = body.scaled_normal
+    if smooth is None and not (isinstance(body, PolytopeV) and body.dim == 2):
+        return []
+    window = max(1e-3, 100.0 * cfg.tol_feas)
+    points = contact_points(body, make_ellipsoid(b0), window)
     if smooth is not None:
-        dirs, vals = boundary_quadratic_scan(body, b0, sense=1)
-        hits = [boundary_point(body, dirs[i])
-                for i in np.flatnonzero(np.abs(vals - 1.0) <= window)]
-
         def on_boundary(x, _body=body):
             return _body.norm(x) - 1.0
 
-        return [("smooth", x, (smooth, on_boundary))
-                for x in fold_merge(hits)]
-    if isinstance(body, PolytopeV) and n == 2:
-        dirs, vals = boundary_quadratic_scan(body, b0, sense=1)
-        hits = [boundary_point(body, dirs[i])
-                for i in np.flatnonzero(np.abs(vals - 1.0) <= window)]
-        contacts = []
-        for x in fold_merge(hits):
-            h = _vrep_facet_normal(body, x)
-            if h is not None:
-                contacts.append(("plane", x, h))
-            else:
-                contacts.append(("frozen", x, None))
-        return contacts
-    return []
+        return [("smooth", x, (smooth, on_boundary)) for x in points]
+    contacts = []
+    for x in points:
+        h = _vrep_facet_normal(body, x)
+        contacts.append(("frozen", x, None) if h is None else ("plane", x, h))
+    return contacts
 
 
 def _kkt_residual(z, n, pairs, c_mat, contacts):
-    m = n + len(pairs)
+    m = n + pairs[0].size
     s = len(contacts)
     b = _unpack(z[:m], n, pairs)
     xs = []
@@ -521,7 +501,7 @@ def _kkt_residual(z, n, pairs, c_mat, contacts):
 
 def _newton_contacts(c_mat, b0, contacts, pairs):
     n = b0.shape[0]
-    m = n + len(pairs)
+    m = n + pairs[0].size
     s = len(contacts)
     dyads = [np.outer(x, x) for _, x, _ in contacts]
     lam0 = solve_nnls([_pack(d, pairs) for d in dyads], _pack(c_mat, pairs)).weights
@@ -618,9 +598,24 @@ def _finalize(body, e, b, cfg):
     return make_ellipsoid(b)
 
 
+def _quadric_report(q_k, e: Ellipsoid) -> SolveReport:
+    """B = Q_K for the ellipsoidal body {x : x^T Q_K x <= 1}.  With
+    W = Q_K^{-1/2}, the cuts W v_i for the eigenvectors v_i of
+    W^{-1} Q_E^{-1} W^{-1}, weighted by its eigenvalues, certify it."""
+    minimizer = make_ellipsoid(q_k)
+    w = inv_sqrt(minimizer.q)
+    root = minimizer.q @ w  # W^{-1} = Q_K^{1/2}
+    _, vecs = sym_eigen(root @ e.q_inv @ root)
+    cuts = (w @ vecs).T
+    return SolveReport(minimizer=minimizer, j_value=m_ellipsoid(e, minimizer),
+                       status="optimal", cuts=cuts, active_cuts=cuts, lp_iterations=0,
+                       gap=0.0)
+
+
 def solve_u(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) -> SolveReport:
     """The inscribed ellipsoid of minimal mean-square gauge over E.
 
+    Ellipsoidal bodies are their own minimizer (closed form, no restart).
     Bodies with a facet form are solved by the dual (no LP), others by
     the cutting-plane loop; cfg.max_cuts caps dual steps or LP solves per
     restart, and box_R applies to the cutting-plane loop only.  The
@@ -634,6 +629,8 @@ def solve_u(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) ->
         raise ValueError("dimension mismatch between body and ellipsoid")
     if cfg.max_cuts < 2 * body.dim:
         raise ValueError("max_cuts must be at least 2 * dim")
+    if body.quadric_form is not None:
+        return _quadric_report(body.quadric_form, e)
     facets = body.facet_form
     runs = []
     total_lp = 0
@@ -718,32 +715,28 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
     attained (the optimal form can be singular: reported as non-attained
     with the degenerate direction) and need not be unique (the optimal
     face is probed with secondary objectives; a second distinct maximizer
-    is reported when found).
+    is reported when found).  When cfg.max_cuts LP solves do not reach the
+    optimum, the report is "max_cuts_reached" with I from the last LP,
+    and the face is not probed.
     """
     if not isinstance(body, (PolytopeV, LpBall)):
         raise UnsupportedBodyError(
             "circumscribed solve accepts vertex polytopes and lp balls only")
     if e.dim != body.dim:
         raise ValueError("dimension mismatch between body and ellipsoid")
+    if cfg.max_cuts < 1:
+        raise ValueError("max_cuts must be at least 1")
     n = body.dim
     pairs = _pairs(n)
     obj = _obj_vec(e.q_inv, pairs)
     exact_pts = body.extreme_points
-    upper = _CutPool()
-    lower = _CutPool()
     if exact_pts is not None:
+        upper = _CutPool()
         for p in exact_pts:
             upper.push(p)
     else:
-        eye = np.eye(n)
-        for i in range(n):
-            upper.push(boundary_point(body, eye[i]))
-        rng = np.random.default_rng(cfg.seed + 17)
-        for d in rng.standard_normal((4 * n, n)):
-            if np.any(d):
-                upper.push(boundary_point(body, d))
-    sol = None
-    b = None
+        upper = _initial_cuts(body, cfg.seed + 17)
+    lower = _CutPool()
     status = "max_cuts_reached"
     lp_count = 0
     while lp_count < cfg.max_cuts:
@@ -769,6 +762,9 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
         break
     v_star = float(obj @ sol.x)
     i_value = float(np.sqrt(v_star / n))
+    if status != "optimal":
+        return DualReport(status="max_cuts_reached", i_value=i_value, maximizer=None,
+                          degenerate_direction=None, uniqueness="unknown", second=None)
 
     # Probe the optimal face with secondary objectives to expose distinct
     # maximizers; midpoints of optimal solutions stay optimal and recover a
@@ -815,9 +811,6 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
         norm = max(np.linalg.norm(cand), 1e-300)
         if vals[-1] >= 1e-6 * norm and valid(cand):
             pd.append((float(vals[-1] / norm), cand))
-    if status != "optimal":
-        return DualReport(status="max_cuts_reached", i_value=i_value, maximizer=None,
-                          degenerate_direction=None, uniqueness="unknown", second=None)
     if not pd:
         vals, vecs = sym_eigen(b)
         return DualReport(status="non_attained", i_value=i_value, maximizer=None,

@@ -33,6 +33,32 @@ def test_norm_homogeneity():
                 1.0 + body.norm(x))
 
 
+def test_norm_is_the_batched_gauge():
+    t = np.array([[1.0, 0.4], [-0.3, 0.9]])
+    bodies = [square_h(), cross_v(2), ef.LpBall(1, 1.0, 2), ef.LpBall(1.5, 2.0, 2),
+              ef.LpBall(2, 0.5, 2), ef.LpBall(np.inf, 1.0, 2), ef.LinearImage(t, square_h()),
+              ef.LinearImage(t, cross_v(2)), ef.LinearImage(t, ef.LpBall(3, 1.0, 2))]
+    rng = np.random.default_rng(12)
+    for body in bodies:
+        for x in list(rng.standard_normal((5, 2))) + [np.zeros(2)]:
+            assert body.norm(x) == ef.norm_many(body, x[None])[0], (body, x)
+        assert body.norm(np.zeros(2)) == 0.0
+
+
+@pytest.mark.parametrize("generators", [np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]]),
+                                        np.random.default_rng(3).standard_normal((7, 3))])
+def test_vertex_gauge_dense_and_sparse_batches_agree(generators):
+    # 40 points take the sparse block LP, chunks of 20 and 1 the dense one
+    body = ef.PolytopeV(generators)
+    pts = np.random.default_rng(4).standard_normal((40, generators.shape[1]))
+    pts[7] = 0.0
+    whole = ef.norm_many(body, pts)
+    chunks = np.concatenate([ef.norm_many(body, pts[:20]), ef.norm_many(body, pts[20:])])
+    np.testing.assert_allclose(whole, chunks, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(whole, [body.norm(x) for x in pts], rtol=1e-12, atol=0.0)
+    assert whole[7] == 0.0
+
+
 def test_support_examples():
     assert abs(square_h().support([1.0, 1.0]) - 2.0) < 1e-8
     assert abs(cross_v(2).support([1.0, 1.0]) - 1.0) < 1e-12

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import ellipfit as ef
-from ellipfit.solver import SolveConfig, _initial_cuts
+import ellipfit.solver as solver_module
+from ellipfit.solver import (SolveConfig, _cut_row, _initial_cuts, _obj_vec, _pack,
+                            _pairs, _unpack)
 from util import (cross_h, cross_v, cube_h, rand_invertible, rand_polytope_h,
                   rand_spd_ellipsoid, rectangle_h, square_h)
 
@@ -54,6 +56,24 @@ def test_initial_cuts_lie_on_the_boundary():
         pool = _initial_cuts(body, seed)
         gauges = ef.norm_many(body, np.array(pool.points))
         assert np.all(np.abs(gauges - 1.0) <= 1e-7)
+
+
+def test_packing_matches_the_pairwise_loop():
+    # LP rows and packed forms must stay bit-identical to the (p < q) loop
+    rng = np.random.default_rng(14)
+    for n in range(1, 6):
+        pairs = _pairs(n)
+        loop = [(p, q) for p in range(n) for q in range(p + 1, n)]
+        x = rng.standard_normal(n)
+        m = rng.standard_normal((n, n))
+        m = m + m.T
+        assert np.array_equal(_cut_row(x, pairs), np.concatenate(
+            [x * x, [2.0 * x[p] * x[q] for p, q in loop]]))
+        assert np.array_equal(_pack(m, pairs), np.concatenate(
+            [np.diag(m), [m[p, q] for p, q in loop]]))
+        assert np.array_equal(_obj_vec(m, pairs), np.concatenate(
+            [np.diag(m), [2.0 * m[p, q] for p, q in loop]]))
+        assert np.array_equal(_unpack(_pack(m, pairs), n, pairs), m)
 
 
 def test_solve_u_rejects_dimension_mismatch():
@@ -262,6 +282,44 @@ def test_solve_u_smooth_ball_bodies():
     rep = ef.solve_u(ef.LpBall(1.5, 1.0, 2), BALL2)
     assert np.linalg.norm(rep.minimizer.q - 2.0 ** (1.0 / 3.0) * np.eye(2)) < 1e-6
     assert abs(rep.j_value - 2.0 ** (1.0 / 6.0)) < 1e-7
+
+
+def test_solve_u_ellipsoidal_body_closed_form():
+    rng = np.random.default_rng(13)
+    for n in (2, 3, 4):
+        body = ef.linear_image(rand_invertible(rng, n), ef.LpBall(2, 1.7, n))
+        e = rand_spd_ellipsoid(rng, n)
+        q_k = body.quadric_form
+        rep = ef.solve_u(body, e)
+        assert (rep.status, rep.lp_iterations, rep.gap) == ("optimal", 0, 0.0)
+        assert np.linalg.norm(rep.minimizer.q - q_k) <= 1e-12 * np.linalg.norm(q_k)
+        assert ef.isotropy_certificate(e, rep.cuts).residual <= 1e-12
+        assert np.all(np.abs(ef.norm_many(body, rep.cuts) - 1.0) <= 1e-12)
+
+
+@pytest.mark.parametrize("body, max_cuts", [(ef.PolytopeV(np.eye(3)), 6),
+                                            (ef.LpBall(3, 1.0, 2), 4)],
+                         ids=["cross_v3", "lp3_ball2"])
+def test_solve_u_bar_budget_stops_before_probing(monkeypatch, body, max_cuts):
+    # out of budget, the face probes used to run anyway: 78 LPs for the
+    # first body, an InfeasibleError from a probe for the second
+    calls = []
+
+    def counting(problem):
+        calls.append(problem)
+        return ef.solve_lp(problem)
+
+    monkeypatch.setattr(solver_module, "solve_lp", counting)
+    rep = ef.solve_u_bar(body, ef.unit_ball(body.dim), SolveConfig(max_cuts=max_cuts))
+    assert rep.status == "max_cuts_reached"
+    assert np.isfinite(rep.i_value) and rep.i_value > 0
+    assert len(calls) == max_cuts
+
+
+def test_solve_u_bar_rejects_an_empty_budget():
+    # with no LP to read I from, this used to fail with an AttributeError
+    with pytest.raises(ValueError):
+        ef.solve_u_bar(cross_v(2), BALL2, SolveConfig(max_cuts=0))
 
 
 def test_solve_u_max_cuts_reports_feasible_iterate():
