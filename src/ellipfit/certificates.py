@@ -14,6 +14,7 @@ only when the fit is essentially exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +47,23 @@ class VerifyResult:
     certificate: Certificate | None
 
 
+@functools.cache
+def _pairs(n: int):
+    """np.triu_indices(n, k=1), one index set per dimension."""
+    return np.triu_indices(n, k=1)
+
+
 def _svec(m: np.ndarray) -> np.ndarray:
     # Off-diagonal entries scaled by sqrt(2): the 2-norm of the packed
     # vector equals the Frobenius norm of the matrix.
-    n = m.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return np.concatenate([np.diag(m), np.sqrt(2.0) * m[iu]])
+    p, q = _pairs(m.shape[0])
+    return np.concatenate([np.diag(m), np.sqrt(2.0) * m[p, q]])
+
+
+def _svec_dyads(points: np.ndarray) -> np.ndarray:
+    """Row k is _svec(outer(x_k, x_k)) for row x_k of `points`."""
+    p, q = _pairs(points.shape[1])
+    return np.hstack([points * points, np.sqrt(2.0) * (points[:, p] * points[:, q])])
 
 
 def contact_points(body: ConvexBody, f: Ellipsoid, tol: float) -> np.ndarray:
@@ -93,8 +105,7 @@ def isotropy_certificate(e: Ellipsoid, points) -> Certificate:
     if pts.shape[1] != e.dim:
         raise ValueError("point dimension does not match the metric")
     target = _svec(e.q_inv)
-    cols = [_svec(np.outer(p, p)) for p in pts]
-    sol = solve_nnls(cols, target)
+    sol = solve_nnls(_svec_dyads(pts), target)
     residual = sol.residual / np.linalg.norm(target)
     return Certificate(points=pts, weights=sol.weights, residual=float(residual), metric=e)
 

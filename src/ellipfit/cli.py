@@ -140,6 +140,7 @@ def _cmd_dual(args):
     doc = {
         "status": rep.status,
         "i_value": rep.i_value,
+        "gap": rep.gap,
         "Q": None if rep.maximizer is None else rep.maximizer.q,
         "degenerate_direction": rep.degenerate_direction,
         "uniqueness": rep.uniqueness,

@@ -42,11 +42,14 @@ identity for the objective gradient) at the points
 `certificates.contact_points` finds, to pin the optimum well below the
 LP feasibility floor, and a final rescale makes containment exact.
 
-`solve_u_bar` runs the mirrored circumscribed problem, maximize
-trace(Q_E^{-1} B) subject to 0 <= x^T B x <= 1 on the boundary, with
-two-sided cuts.  Unless its LP budget runs out first, it then probes the
-optimal face for non-attainment (a singular optimal form) and
-non-uniqueness.
+`solve_u_bar` runs the circumscribed problem, max trace(Q_E^{-1} B) over
+B >= 0 with w_k^T B w_k <= 1 at boundary points w_k, by a log-barrier
+central path (Vandenberghe & Boyd 1996).  With B = L X L^T, v_k = L^T w_k
+and slacks s_k = 1 - v_k^T X v_k, the center at t maximizes tr X +
+t (log det X + sum_k log s_k); there lam_k = t / s_k and Z = t X^{-1} =
+sum_k lam_k v_k v_k^T - I are dual feasible, so its gap is t (n + m).
+As t -> 0 the centers reach the analytic center of the optimal face,
+which decides attainment and uniqueness.
 """
 
 from __future__ import annotations
@@ -55,10 +58,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import (ConvexBody, LpBall, PolytopeV, body_in_ellipsoid,
+from .bodies import (ConvexBody, PolytopeV, body_in_ellipsoid,
                      boundary_form_max, boundary_point, canonical_pair,
                      contains_ellipsoid, linear_image, polar)
-from .certificates import contact_points
+from .certificates import _pairs, _svec, _svec_dyads, contact_points
 from .ellipsoids import Ellipsoid, form_distance, m_ellipsoid, make_ellipsoid
 from .numerics import (LpProblem, NotPositiveDefiniteError, cholesky, inv_sqrt,
                        solve_lp, solve_nnls, sym_eigen)
@@ -126,12 +129,17 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class DualReport:
+    """Outcome of `solve_u_bar`; `gap` is the relative duality gap
+    t (n + m) / tr X of the last center the path reached (None if the
+    step budget ran out before the first)."""
+
     status: str  # "attained" | "non_attained" | "max_cuts_reached"
     i_value: float
     maximizer: Ellipsoid | None
     degenerate_direction: np.ndarray | None
     uniqueness: str  # "unknown" | "multiple_found"
     second: Ellipsoid | None
+    gap: float | None
 
 
 @dataclass(frozen=True)
@@ -281,10 +289,6 @@ def _dual_run(facets, e: Ellipsoid, max_iter: int, seed: int):
 # --------------------------------------------------------------------------
 # Symmetric-form packing: diagonal entries first, then the strict upper
 # triangle (p < q) row by row, as indexed by `_pairs`.
-
-def _pairs(n):
-    return np.triu_indices(n, k=1)
-
 
 def _pack(m, pairs):
     return np.concatenate([np.diag(m), m[pairs]])
@@ -704,131 +708,173 @@ def iterate_u(body: ConvexBody, e0: Ellipsoid, steps: int,
 
 
 # --------------------------------------------------------------------------
-# Circumscribed problem.
+# Circumscribed problem: the central path of the module docstring.
+
+_PATH_GAP = 1e-12  # relative gap at which the path stops
+_PATH_SHRINK = 0.01  # reduction of t at each center
+_PATH_CENTERED = 1.0  # Newton decrement below which the iterate is a center
+_PATH_SETTLED = 1e-8  # gap of the iterate that fixes the position along a flat face
+
+
+def _path_step(v, root, s, t):
+    """One Newton step at t on phi = tr X / t + log det X + sum_k log s_k
+    for X = R R^T, in Y with X -> R (I + Y) R^T so that vanishing
+    eigenvalues of X keep their relative accuracy.  With u_k = R^T v_k and
+    a_k = svec(u_k u_k^T) the Hessian I + A^T diag(s^-2) A is inverted by
+    an SVD that resolves weights ~1 / s^2 and 1 alike.  The slacks
+    s_k = 1 - v_k^T X v_k move with the step, s - alpha A y, exactly as
+    their constraints do; recomputed from X, a slack near 1e-13 would keep
+    few digits.  tr X, log det X and s are closed-form in
+    the step length, chosen by a line search on phi.  Returns (root, s,
+    decrement)."""
+    n = root.shape[0]
+    u = v @ root
+    a = _svec_dyads(u)
+    xs = root.T @ root
+    h = _svec(xs / t + np.eye(n)) - a.T @ (1.0 / s)
+    _, sv, vt = np.linalg.svd(a / s[:, None])
+    den = np.ones(vt.shape[0])
+    den[:sv.size] += sv * sv
+    y = vt.T @ ((vt @ h) / den)
+    ay = a @ y
+    ratio = ay / s
+    decrement = float(np.sqrt(y @ y + ratio @ ratio))
+    ymat = _unpack(np.concatenate([y[:n], y[n:] / np.sqrt(2.0)]), n, _pairs(n))
+    yvals = np.linalg.eigvalsh(ymat)
+    grow = float((xs * ymat).sum()) / t  # slope of tr X / t along the step
+    top = max(-yvals[0], ratio.max())  # the step reaches the boundary at 1 / top
+    lo, hi = 0.0, 1.0 if top <= 0.99 else 0.99 / top
+    alpha = hi
+    for _ in range(20):  # safeguarded Newton on the slope of phi, concave along the step
+        py, ps = yvals / (1.0 + alpha * yvals), ay / (s - alpha * ay)
+        slope = grow + py.sum() - ps.sum()
+        if (slope >= 0 and alpha == hi) or abs(slope) <= 1e-9 * (
+                abs(grow) + np.abs(py).sum() + np.abs(ps).sum()):
+            break
+        lo, hi = (alpha, hi) if slope > 0 else (lo, alpha)
+        alpha = min(max(alpha + slope / (py @ py + ps @ ps), lo), hi)
+    root = root @ np.linalg.cholesky(np.eye(n) + alpha * ymat)
+    return root, s - alpha * ay, decrement
+
+
+@dataclass(frozen=True)
+class _PathEnd:
+    root: np.ndarray  # R with X = R R^T
+    s: np.ndarray  # slacks 1 - v_k^T X v_k
+    t: float
+    gap: float | None  # gap of the last center, None before the first
+    steps: int
+    settled: np.ndarray | None  # X where the gap first fell below _PATH_SETTLED
+
+
+def _central_path(v, max_steps) -> _PathEnd:
+    """Follow the path, lowering t by _PATH_SHRINK at each center (Newton
+    decrement below _PATH_CENTERED), until the gap t (n + m) / tr X is at
+    most _PATH_GAP or max_steps Newton steps are spent.  The start
+    X = (V^T V)^{-1} / (2 max_k h_k) has the shape of the points; their
+    leverages h_k are at most 1."""
+    m, n = v.shape
+    root = np.linalg.inv(np.linalg.cholesky(v.T @ v)).T
+    lev = np.sum((v @ root) ** 2, axis=1)
+    root *= np.sqrt(0.5 / lev.max())
+    s = 1.0 - 0.5 * lev / lev.max()
+    t = float(np.sum(root * root)) / (n + m)
+    gap = settled = None
+    steps = 0
+    while steps < max_steps:
+        root, s, decrement = _path_step(v, root, s, t)
+        steps += 1
+        if decrement < _PATH_CENTERED:
+            tr = float(np.sum(root * root))
+            gap = t * (n + m) / tr
+            if settled is None and gap <= _PATH_SETTLED:
+                settled = root @ root.T
+            if gap > _PATH_GAP:
+                t = max(_PATH_SHRINK * gap, 0.5 * _PATH_GAP) * tr / (n + m)
+            elif decrement < 0.25:  # and the last center to quadratic accuracy
+                break
+    return _PathEnd(root, s, t, gap, steps, settled)
+
+
+def _optimal_face(v, end: _PathEnd):
+    """(X, flat, null): `flat` spans (rows, `_pack` coordinates) the D with
+    tr D = 0 and v_k^T D v_k = 0 where s_k^2 <= t / tr X; `null` is the
+    null direction of X if an eigenvalue has x^2 <= t tr X, else None.  A
+    positive definite X takes its part along `flat` (which moves neither
+    tr X nor an active constraint) from the settled iterate, as far as the
+    inactive points allow."""
+    n = end.root.shape[0]
+    x = end.root @ end.root.T
+    active = v[end.s ** 2 <= end.t / np.trace(x)]
+    rows = np.array([_obj_vec(np.eye(n), _pairs(n))] + [_cut_row(w, _pairs(n)) for w in active])
+    _, sv, vt = np.linalg.svd(rows)
+    flat = vt[int(np.sum(sv > 1e-9 * sv[0])):]
+    left, roots, _ = np.linalg.svd(end.root)
+    if roots[-1] ** 4 <= end.t * np.trace(x):
+        return x, flat, left[:, -1]
+    if flat.size and end.settled is not None:
+        d = _unpack(flat.T @ (flat @ _pack(end.settled - x, _pairs(n))), n, _pairs(n))
+        rise = np.einsum("ki,ij,kj->k", v, d, v)  # short of any inactive point it would cross
+        x = x + min(1.0, np.min(end.s[rise > 0] / rise[rise > 0], initial=np.inf)) * d
+    return x, flat, None
+
 
 def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) -> DualReport:
     """Circumscribed ellipsoids maximizing the mean-square gauge over E.
 
-    Only vertex polytopes and lp balls are accepted: for those the upper
-    constraint "x^T B x <= 1 on the boundary" is checkable (at the extreme
-    points, or through the boundary scan).  The supremum need not be
-    attained (the optimal form can be singular: reported as non-attained
-    with the degenerate direction) and need not be unique (the optimal
-    face is probed with secondary objectives; a second distinct maximizer
-    is reported when found).  When cfg.max_cuts LP solves do not reach the
-    optimum, the report is "max_cuts_reached" with I from the last LP,
-    and the face is not probed.
+    Bodies with extreme points run the central path over them; bodies
+    with a quadric or smooth boundary over a point set grown by the point
+    where `boundary_form_max` finds the last form poking out by more than
+    cfg.tol_feas.  Facet-only bodies raise UnsupportedBodyError.  The
+    supremum is attained iff the center of the optimal face is positive
+    definite, else its null direction is reported; a second maximizer is
+    X + eps D along a flat D of the face (half way to the nearest inactive
+    point or PSD boundary; checked on a smooth body).  cfg.max_cuts caps
+    the Newton steps; out of budget, I is that of the feasible iterate (a
+    lower bound).  cfg.restarts and cfg.box_R are not used.
     """
-    if not isinstance(body, (PolytopeV, LpBall)):
-        raise UnsupportedBodyError(
-            "circumscribed solve accepts vertex polytopes and lp balls only")
+    if body.extreme_points is None and body.quadric_form is None and body.scaled_normal is None:
+        raise UnsupportedBodyError("circumscribed solve needs extreme points or a smooth boundary")
     if e.dim != body.dim:
         raise ValueError("dimension mismatch between body and ellipsoid")
     if cfg.max_cuts < 1:
         raise ValueError("max_cuts must be at least 1")
-    n = body.dim
-    pairs = _pairs(n)
-    obj = _obj_vec(e.q_inv, pairs)
-    exact_pts = body.extreme_points
-    if exact_pts is not None:
-        upper = _CutPool()
-        for p in exact_pts:
-            upper.push(p)
-    else:
-        upper = _initial_cuts(body, cfg.seed + 17)
-    lower = _CutPool()
-    status = "max_cuts_reached"
-    lp_count = 0
-    while lp_count < cfg.max_cuts:
-        rows = tuple([(-_cut_row(u, pairs), -1.0) for u in upper.points]
-                     + [(_cut_row(l, pairs), 0.0) for l in lower.points])
-        sol = solve_lp(LpProblem(-obj, rows, cfg.box_R))
-        lp_count += 1
-        b = _unpack(sol.x, n, pairs)
-        vals, vecs = sym_eigen(b)
-        scale = max(1.0, float(np.linalg.norm(b)))
-        if vals[-1] < -1e-9 * scale:
-            lower.push(boundary_point(body, vecs[:, -1]))
-            continue
-        if exact_pts is None:
-            worst, direction = boundary_form_max(body, b)
-            if worst > 1.0 + cfg.tol_feas:
-                upper.push(boundary_point(body, direction))
-                continue
-        if sol.box_active:
-            raise SolverError("LP box is active at the circumscribed optimum; "
-                              "increase box_R")
-        status = "optimal"
-        break
-    v_star = float(obj @ sol.x)
-    i_value = float(np.sqrt(v_star / n))
-    if status != "optimal":
-        return DualReport(status="max_cuts_reached", i_value=i_value, maximizer=None,
-                          degenerate_direction=None, uniqueness="unknown", second=None)
-
-    # Probe the optimal face with secondary objectives to expose distinct
-    # maximizers; midpoints of optimal solutions stay optimal and recover a
-    # positive-definite representative when the supremum is attained.
-    # Probe solutions get the same eigenvector-cut repair as the main loop
-    # (the nonnegativity side must hold on the whole boundary).
-    floor_row = (obj, v_star - 1e-9 * (1.0 + abs(v_star)))
-
-    def face_rows():
-        return tuple([(-_cut_row(u, pairs), -1.0) for u in upper.points]
-                     + [(_cut_row(l, pairs), 0.0) for l in lower.points]
-                     + [floor_row])
-
-    candidates = [b]
-    rng = np.random.default_rng(cfg.seed + 5000)
-    for _ in range(max(2, cfg.restarts)):
-        d = rng.standard_normal(obj.size)
-        d /= np.linalg.norm(d)
-        for sign in (1.0, -1.0):
-            for _repair in range(100):
-                psol = solve_lp(LpProblem(sign * d, face_rows(), cfg.box_R))
-                bp_mat = _unpack(psol.x, n, pairs)
-                pvals, pvecs = sym_eigen(bp_mat)
-                if pvals[-1] < -1e-9 * max(1.0, float(np.linalg.norm(bp_mat))):
-                    lower.push(boundary_point(body, pvecs[:, -1]))
-                    continue
-                break
-            candidates.append(bp_mat)
-    extra = [0.5 * (candidates[i] + candidates[j])
-             for i in range(len(candidates)) for j in range(i + 1, len(candidates))]
-    extra.append(np.mean(candidates, axis=0))
-    candidates.extend(extra)
-
-    def valid(cand):
-        if exact_pts is None:
-            worst, _ = boundary_form_max(body, cand)
-            if worst > 1.0 + 10.0 * cfg.tol_feas:
-                return False
-        return True
-
-    pd = []
-    for cand in candidates:
-        vals, _ = sym_eigen(cand)
-        norm = max(np.linalg.norm(cand), 1e-300)
-        if vals[-1] >= 1e-6 * norm and valid(cand):
-            pd.append((float(vals[-1] / norm), cand))
-    if not pd:
-        vals, vecs = sym_eigen(b)
-        return DualReport(status="non_attained", i_value=i_value, maximizer=None,
-                          degenerate_direction=canonical_pair(vecs[:, -1])[1],
-                          uniqueness="unknown", second=None)
-    pd.sort(key=lambda item: -item[0])
-    best = pd[0][1]
-    maximizer = make_ellipsoid(best)
-    second = None
-    dist_best = 0.0
-    for _, cand in pd[1:]:
-        d = form_distance(best, cand)
-        if d > max(1e-3, dist_best):
-            dist_best = d
-            second = make_ellipsoid(cand)
-    uniqueness = "multiple_found" if second is not None else "unknown"
-    return DualReport(status="attained", i_value=i_value, maximizer=maximizer,
-                      degenerate_direction=None, uniqueness=uniqueness, second=second)
+    n, exact, steps = body.dim, body.extreme_points is not None, 0
+    points = body.extreme_points if exact else np.array(_initial_cuts(body, cfg.seed + 17).points)
+    while True:
+        v = points @ e.chol
+        end = _central_path(v, cfg.max_cuts - steps)
+        steps += end.steps
+        done = end.gap is not None and end.gap <= _PATH_GAP
+        x, flat, null = _optimal_face(v, end) if done else (end.root @ end.root.T, None, None)
+        worst, direction = (1.0, None) if exact else boundary_form_max(body, e.chol @ x @ e.chol.T)
+        if not done or worst <= 1.0 + cfg.tol_feas:
+            break
+        points = np.vstack([points, boundary_point(body, direction)])
+    report = dict(i_value=float(np.sqrt(np.trace(x) / n)), maximizer=None,
+                  degenerate_direction=None, uniqueness="unknown", second=None, gap=end.gap)
+    if not done:
+        report["i_value"] /= np.sqrt(max(1.0, worst))
+        return DualReport(status="max_cuts_reached", **report)
+    if null is not None:
+        report["degenerate_direction"] = canonical_pair(np.linalg.solve(e.chol.T, null))[1]
+        return DualReport(status="non_attained", **report)
+    report["maximizer"] = make_ellipsoid(e.chol @ x @ e.chol.T)
+    if flat.size:
+        d = _unpack(flat[0], n, _pairs(n))
+        w = inv_sqrt(x)
+        eps = 1.0 / np.max(np.abs(np.linalg.eigvalsh(w @ d @ w)))
+        growth = np.einsum("ki,ij,kj->k", v, d, v)
+        up = (growth > 0) & (end.s ** 2 > end.t / np.trace(x))  # inactive points it nears
+        slack = 1.0 - np.einsum("ki,ij,kj->k", v, x, v)
+        eps = min(eps, np.min(slack[up] / growth[up], initial=np.inf))
+        b = e.chol @ (x + 0.5 * eps * d) @ e.chol.T
+        # on a smooth body the point set is a relaxation whose flat directions
+        # the body may cut off: the step must be long and pass the same check
+        if exact or (form_distance(b, e.chol @ x @ e.chol.T) > 1e-3
+                     and boundary_form_max(body, b)[0] <= 1.0 + cfg.tol_feas):
+            report.update(uniqueness="multiple_found", second=make_ellipsoid(b))
+    return DualReport(status="attained", **report)
 
 
 def verify_dual_equivalence(body: ConvexBody, e: Ellipsoid, f: Ellipsoid,

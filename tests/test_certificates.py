@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ellipfit as ef
+from ellipfit.certificates import _svec, _svec_dyads
 from util import (cross_h, rand_polytope_h, rand_spd_ellipsoid, rectangle_h,
                   square_h)
 
@@ -98,3 +99,13 @@ def test_verify_u_reports_residual_when_isotropy_fails():
     res = ef.verify_u(square_h(), ball, lopsided, 1e-6)
     assert res.verdict == ef.FAILED_ISOTROPY
     assert res.residual > 0.1
+
+
+def test_dyads_pack_like_single_forms():
+    # the batched packing must give the per-dyad columns bit for bit
+    rng = np.random.default_rng(15)
+    for n in range(1, 6):
+        pts = rng.standard_normal((7, n))
+        rows = _svec_dyads(pts)
+        for p, row in zip(pts, rows):
+            assert np.array_equal(row, _svec(np.outer(p, p)))

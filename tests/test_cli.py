@@ -96,6 +96,7 @@ def test_dual_report(files, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "non_attained"
     assert abs(doc["i_value"] - np.sqrt(50.0)) < 1e-6
+    assert doc["gap"] <= 1e-12
     assert abs(abs(doc["degenerate_direction"][1]) - 1.0) < 1e-6
 
 

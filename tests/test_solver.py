@@ -5,7 +5,7 @@ import ellipfit as ef
 import ellipfit.solver as solver_module
 from ellipfit.solver import (SolveConfig, _cut_row, _initial_cuts, _obj_vec, _pack,
                             _pairs, _unpack)
-from util import (cross_h, cross_v, cube_h, rand_invertible, rand_polytope_h,
+from util import (cross_h, cross_v, cube_h, cube_v_rows, rand_invertible, rand_polytope_h,
                   rand_spd_ellipsoid, rectangle_h, square_h)
 
 BALL2 = ef.unit_ball(2)
@@ -172,6 +172,49 @@ def test_dual_rejects_facet_polytopes():
         ef.solve_u_bar(square_h(), BALL2)
 
 
+@pytest.mark.parametrize("gens, seed, i_value", [(cube_v_rows(3), 0, 1.0 / np.sqrt(3.0)),
+                                                 (np.eye(3), 20, 1.0)],
+                         ids=["cube_v3", "cross_v3"])
+def test_dual_attained_on_images_of_3d_polytopes(gens, seed, i_value):
+    # seeded images of the 3-cube and the 3-d cross-polytope: the maxima are attained
+    t = rand_invertible(np.random.default_rng(seed), 3, cond=3.0)
+    body = ef.linear_image(t, ef.PolytopeV(gens))
+    e = ef.ellipsoid_linear_image(t, ef.unit_ball(3))
+    rep = ef.solve_u_bar(body, e)
+    assert rep.status == "attained"
+    assert abs(rep.i_value - i_value) <= 1e-9
+    assert rep.gap <= 1e-12
+    assert np.all(np.linalg.eigvalsh(rep.maximizer.q) > 0)
+    assert ef.body_in_ellipsoid(body, rep.maximizer, 1e-9)[0]
+    assert abs(ef.m_ellipsoid(e, rep.maximizer) - rep.i_value) <= 1e-9
+
+
+def test_dual_cube_has_multiple_maximizers():
+    # every diag(a, b, c) with a + b + c = 1 circumscribes the 3-cube at I = 1/sqrt(3)
+    body = ef.PolytopeV(cube_v_rows(3))
+    rep = ef.solve_u_bar(body, ef.unit_ball(3))
+    assert (rep.status, rep.uniqueness) == ("attained", "multiple_found")
+    assert ef.form_distance(rep.maximizer, np.eye(3) / 3.0) <= 1e-6
+    assert ef.form_distance(rep.maximizer, rep.second) > 1e-3
+    for cand in (rep.maximizer, rep.second):
+        assert ef.body_in_ellipsoid(body, cand, 1e-9)[0]
+        assert abs(ef.m_ellipsoid(ef.unit_ball(3), cand) - 1.0 / np.sqrt(3.0)) <= 1e-9
+
+
+def test_dual_accepts_bodies_by_structure():
+    # a linear image of a smooth ball has no extreme points but a smooth
+    # boundary; its I equals the ball's against the mapped reference
+    t = rand_invertible(np.random.default_rng(6), 2, cond=5.0)
+    ball = ef.solve_u_bar(ef.LpBall(3, 1.0, 2), BALL2)
+    image = ef.solve_u_bar(ef.linear_image(t, ef.LpBall(3, 1.0, 2)),
+                           ef.ellipsoid_linear_image(t, BALL2))
+    assert (ball.status, image.status) == ("attained", "attained")
+    assert abs(image.i_value - ball.i_value) <= 1e-6 * ball.i_value
+    wrapped = ef.LinearImage(t, ef.PolytopeV([[1.0, 1.0], [1.0, -1.0]]))
+    rep = ef.solve_u_bar(wrapped, ef.ellipsoid_linear_image(t, BALL2))
+    assert abs(rep.i_value - 1.0 / np.sqrt(2.0)) <= 1e-9
+
+
 def test_dual_equivalence_examples():
     sq = ef.PolytopeV([[1.0, 1.0], [1.0, -1.0]])
     assert ef.verify_dual_equivalence(sq, BALL2, ef.make_ellipsoid(0.5 * np.eye(2)))
@@ -301,15 +344,16 @@ def test_solve_u_ellipsoidal_body_closed_form():
                                             (ef.LpBall(3, 1.0, 2), 4)],
                          ids=["cross_v3", "lp3_ball2"])
 def test_solve_u_bar_budget_stops_before_probing(monkeypatch, body, max_cuts):
-    # out of budget, the face probes used to run anyway: 78 LPs for the
-    # first body, an InfeasibleError from a probe for the second
+    # max_cuts caps the Newton steps of the central path; out of budget the
+    # face is not analysed and I comes from the feasible iterate
     calls = []
+    step = solver_module._path_step
 
-    def counting(problem):
-        calls.append(problem)
-        return ef.solve_lp(problem)
+    def counting(*args):
+        calls.append(args)
+        return step(*args)
 
-    monkeypatch.setattr(solver_module, "solve_lp", counting)
+    monkeypatch.setattr(solver_module, "_path_step", counting)
     rep = ef.solve_u_bar(body, ef.unit_ball(body.dim), SolveConfig(max_cuts=max_cuts))
     assert rep.status == "max_cuts_reached"
     assert np.isfinite(rep.i_value) and rep.i_value > 0

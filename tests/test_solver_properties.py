@@ -1,6 +1,7 @@
-"""Property tests of the facet-dual solve against independent routes: the
+"""Property tests of the facet-dual solve against independent routes (the
 solver-free certificate check, a redundant representation of the same
-body, and a linear image of the whole instance."""
+body, and a linear image of the whole instance), and of the circumscribed
+solve against forms that touch the body and against linear images."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -51,3 +52,65 @@ def test_linear_maps_commute_with_the_solve(seed, n, extra, log_cond):
     assert direct.status == "optimal"
     mapped = ef.ellipsoid_linear_image(t, ef.solve_u(body, e).minimizer)
     assert ef.form_distance(direct.minimizer, mapped) <= 1e-8
+
+
+# Circumscribed solve on random vertex polytopes.  The supremum is often
+# not attained there (a singular optimal form), so the properties that need
+# a maximizer are checked when there is one.
+
+def _vertex_instance(seed, n, extra):
+    rng = np.random.default_rng(seed)
+    while True:
+        try:
+            body = ef.PolytopeV(rng.standard_normal((n + extra, n)))
+            break
+        except ValueError:
+            continue
+    return rng, body, rand_spd_ellipsoid(rng, n, cond=100.0)
+
+
+vertex_instances = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3),
+                        extra=st.integers(0, 10))
+
+
+@PROPERTY
+@given(**vertex_instances)
+def test_circumscribed_maximizer_is_tight(seed, n, extra):
+    _, body, e = _vertex_instance(seed, n, extra)
+    rep = ef.solve_u_bar(body, e)
+    assert rep.status in ("attained", "non_attained")
+    assert rep.gap <= 1e-12
+    if rep.status == "attained":
+        assert ef.body_in_ellipsoid(body, rep.maximizer, 1e-9)[0]
+        assert abs(ef.m_ellipsoid(e, rep.maximizer) - rep.i_value) <= 1e-9 * rep.i_value
+
+
+@PROPERTY
+@given(**vertex_instances)
+def test_no_touching_form_beats_the_circumscribed_value(seed, n, extra):
+    rng, body, e = _vertex_instance(seed, n, extra)
+    i_value = ef.solve_u_bar(body, e).i_value
+    w = body.generators
+    for _ in range(50):
+        g = rng.standard_normal((n, n + int(rng.integers(0, 2)) - 1))
+        b = g @ g.T  # rank n or n - 1
+        b /= np.max(np.einsum("ij,jk,ik->i", w, b, w))  # scaled to touch the body
+        assert np.sqrt(np.trace(e.q_inv @ b) / n) <= i_value * (1.0 + 1e-9)
+
+
+@PROPERTY
+@given(**vertex_instances, log_cond=st.floats(0.0, 3.0))
+def test_linear_maps_commute_with_the_circumscribed_solve(seed, n, extra, log_cond):
+    rng, body, e = _vertex_instance(seed, n, extra)
+    t = rand_invertible(rng, n, cond=10.0**log_cond)
+    base = ef.solve_u_bar(body, e)
+    image = ef.solve_u_bar(ef.linear_image(t, body), ef.ellipsoid_linear_image(t, e))
+    assert image.status == base.status
+    assert abs(image.i_value - base.i_value) <= 1e-9 * base.i_value
+    if base.status == "non_attained":
+        if n == 2:  # the null direction d of B maps to T d (in 3-d it need not be unique)
+            mapped = t @ base.degenerate_direction
+            assert abs(mapped @ image.degenerate_direction) >= (1 - 1e-6) * np.linalg.norm(mapped)
+    elif base.uniqueness == "unknown":
+        mapped = ef.ellipsoid_linear_image(t, base.maximizer)
+        assert ef.form_distance(image.maximizer, mapped) <= 1e-6

@@ -20,10 +20,15 @@ def cube_h(n):
     return ef.PolytopeH(np.eye(n))
 
 
+def cube_v_rows(n):
+    """The sign vectors of length n, one row per +- pair: the vertices of
+    the cube [-1, 1]^n and the facets of the cross-polytope."""
+    return np.array([s for s in itertools.product((1.0, -1.0), repeat=n) if s[0] > 0])
+
+
 def cross_h(n):
     """The ||.||_1 unit ball as a facet polytope (one facet per sign pattern)."""
-    signs = [s for s in itertools.product((1.0, -1.0), repeat=n) if s[0] > 0]
-    return ef.PolytopeH(np.array(signs))
+    return ef.PolytopeH(cube_v_rows(n))
 
 
 def cross_v(n):
