@@ -79,6 +79,11 @@ class ConvexBody:
     * ``scaled_normal``  -- for a smooth boundary, a callable n with n(x)
       normal to the boundary at x and n(x) . x = 1 there (the gradient of
       the gauge, Euler-scaled)
+
+    The body also keeps the boundary points of the scan's direction nets
+    and the result of its last `boundary_quadratic_scan`, so a repeated
+    scan (containment, then contact finding, of one form) costs nothing;
+    the kept arrays are read-only.
     """
 
     facet_form = None
@@ -92,6 +97,8 @@ class ConvexBody:
         # does not depend on the form scanned, and gauge evaluation
         # dominates the cost of a scan.
         self.boundary_nets: dict = {}
+        # (arguments, directions, values) of the last boundary_quadratic_scan
+        self.last_scan: tuple | None = None
 
     def norm(self, x) -> float:
         return float(norm_many(self, np.asarray(x, dtype=float)[None])[0])
@@ -325,13 +332,15 @@ def canonical_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def fold_merge(points) -> list[np.ndarray]:
     """Fold antipodal pairs (they carry the same dyad) to their canonical
     sign and drop points within 1e-4 radians of an earlier one."""
-    kept, units = [], []
+    if not len(points):
+        return []
+    kept, units = [], np.empty((len(points), len(points[0])))
     for p in points:
         p, u = canonical_pair(p)
-        if any(abs(float(u @ v)) >= _MERGE_COS for v in units):
+        if kept and np.abs(units[:len(kept)] @ u).max() >= _MERGE_COS:
             continue
+        units[len(kept)] = u
         kept.append(p)
-        units.append(u)
     return kept
 
 
@@ -412,8 +421,13 @@ def boundary_quadratic_scan(body: ConvexBody, form: np.ndarray, sense: int = 1, 
     sense=+1 searches the minimum, sense=-1 the maximum.  Returns
     (directions, values): all candidate unit directions considered (net
     plus multistart descent refinements) and x^T Q x at their boundary
-    points.  Deterministic.
+    points.  Deterministic, so the body keeps the last result: a repeated
+    call with the same arguments returns the same read-only arrays.
     """
+    form = np.asarray(form, dtype=float)
+    key = (form.tobytes(), sense, net_size, starts, rounds)
+    if body.last_scan is not None and body.last_scan[0] == key:
+        return body.last_scan[1:]
     n = body.dim
     net_pts = _net_boundary(body, net_size)
     rng = np.random.default_rng(_SCAN_SEED)
@@ -426,6 +440,8 @@ def boundary_quadratic_scan(body: ConvexBody, form: np.ndarray, sense: int = 1, 
     refined = _pattern_descent(body, form, np.vstack([g, top]), sense, rounds)
     dirs = np.vstack([net_pts / np.linalg.norm(net_pts, axis=1, keepdims=True), refined])
     vals = np.concatenate([net_vals, _boundary_values(body, form, refined)])
+    dirs.flags.writeable = vals.flags.writeable = False
+    body.last_scan = (key, dirs, vals)
     return dirs, vals
 
 

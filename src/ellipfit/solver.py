@@ -131,12 +131,15 @@ class SolveReport:
 class DualReport:
     """Outcome of `solve_u_bar`; `gap` is the relative duality gap
     t (n + m) / tr X of the last center the path reached (None if the
-    step budget ran out before the first)."""
+    step budget ran out before the first).  When the supremum is not
+    attained, `null_space` has orthonormal rows spanning the null space of
+    the limit form, `degenerate_direction` first."""
 
     status: str  # "attained" | "non_attained" | "max_cuts_reached"
     i_value: float
     maximizer: Ellipsoid | None
     degenerate_direction: np.ndarray | None
+    null_space: np.ndarray | None  # (k, n)
     uniqueness: str  # "unknown" | "multiple_found"
     second: Ellipsoid | None
     gap: float | None
@@ -798,11 +801,12 @@ def _central_path(v, max_steps) -> _PathEnd:
 
 def _optimal_face(v, end: _PathEnd):
     """(X, flat, null): `flat` spans (rows, `_pack` coordinates) the D with
-    tr D = 0 and v_k^T D v_k = 0 where s_k^2 <= t / tr X; `null` is the
-    null direction of X if an eigenvalue has x^2 <= t tr X, else None.  A
-    positive definite X takes its part along `flat` (which moves neither
-    tr X nor an active constraint) from the settled iterate, as far as the
-    inactive points allow."""
+    tr D = 0 and v_k^T D v_k = 0 where s_k^2 <= t / tr X; `null` has as
+    columns the eigenvectors of X with eigenvalue x^2 <= t tr X, smallest
+    x first, or is None if there are none.  A positive definite X takes
+    its part along `flat` (which moves neither tr X nor an active
+    constraint) from the settled iterate, as far as the inactive points
+    allow."""
     n = end.root.shape[0]
     x = end.root @ end.root.T
     active = v[end.s ** 2 <= end.t / np.trace(x)]
@@ -810,8 +814,9 @@ def _optimal_face(v, end: _PathEnd):
     _, sv, vt = np.linalg.svd(rows)
     flat = vt[int(np.sum(sv > 1e-9 * sv[0])):]
     left, roots, _ = np.linalg.svd(end.root)
-    if roots[-1] ** 4 <= end.t * np.trace(x):
-        return x, flat, left[:, -1]
+    null = roots ** 4 <= end.t * np.trace(x)
+    if null[-1]:
+        return x, flat, left[:, null][:, ::-1]
     if flat.size and end.settled is not None:
         d = _unpack(flat.T @ (flat @ _pack(end.settled - x, _pairs(n))), n, _pairs(n))
         rise = np.einsum("ki,ij,kj->k", v, d, v)  # short of any inactive point it would cross
@@ -827,11 +832,12 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
     where `boundary_form_max` finds the last form poking out by more than
     cfg.tol_feas.  Facet-only bodies raise UnsupportedBodyError.  The
     supremum is attained iff the center of the optimal face is positive
-    definite, else its null direction is reported; a second maximizer is
-    X + eps D along a flat D of the face (half way to the nearest inactive
-    point or PSD boundary; checked on a smooth body).  cfg.max_cuts caps
-    the Newton steps; out of budget, I is that of the feasible iterate (a
-    lower bound).  cfg.restarts and cfg.box_R are not used.
+    definite, else the null space of its limit is reported; a second
+    maximizer is X + eps D along a flat D of the face (half way to the
+    nearest inactive point or PSD boundary; checked on a smooth body).
+    cfg.max_cuts caps the Newton steps; out of budget, I is that of the
+    feasible iterate (a lower bound).  cfg.restarts and cfg.box_R are not
+    used.
     """
     if body.extreme_points is None and body.quadric_form is None and body.scaled_normal is None:
         raise UnsupportedBodyError("circumscribed solve needs extreme points or a smooth boundary")
@@ -852,12 +858,16 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
             break
         points = np.vstack([points, boundary_point(body, direction)])
     report = dict(i_value=float(np.sqrt(np.trace(x) / n)), maximizer=None,
-                  degenerate_direction=None, uniqueness="unknown", second=None, gap=end.gap)
+                  degenerate_direction=None, null_space=None, uniqueness="unknown",
+                  second=None, gap=end.gap)
     if not done:
         report["i_value"] /= np.sqrt(max(1.0, worst))
         return DualReport(status="max_cuts_reached", **report)
     if null is not None:
-        report["degenerate_direction"] = canonical_pair(np.linalg.solve(e.chol.T, null))[1]
+        direction = canonical_pair(np.linalg.solve(e.chol.T, null[:, 0]))[1]
+        basis = np.linalg.qr(np.column_stack([direction, np.linalg.solve(e.chol.T, null[:, 1:])]))[0].T
+        basis[0] = direction
+        report.update(degenerate_direction=direction, null_space=basis)
         return DualReport(status="non_attained", **report)
     report["maximizer"] = make_ellipsoid(e.chol @ x @ e.chol.T)
     if flat.size:

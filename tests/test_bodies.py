@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ellipfit as ef
+from ellipfit import bodies
 from util import cross_h, cross_v, rand_polytope_h, rectangle_h, square_h
 
 
@@ -197,6 +198,59 @@ def test_containment_agrees_with_dense_sampling():
         if v.contained:
             assert dense >= -10.0 * tol
         assert abs(body.norm(v.witness) - 1.0) <= 1e-9
+
+
+def test_scan_repeats_are_kept_and_read_only():
+    a, b = np.diag([1.0, 2.0, 3.0]), np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]])
+    calls = [(a, 1, {}), (b, 1, {}), (a, 1, {}), (a, -1, {}),
+             (a, 1, dict(net_size=180, starts=16, rounds=24)), (a, 1, {})]
+    body = ef.LpBall(3, 1.0, 3)
+    for form, sense, scan in calls:
+        kept = bodies.boundary_quadratic_scan(body, form, sense, **scan)
+        fresh = bodies.boundary_quadratic_scan(ef.LpBall(3, 1.0, 3), form, sense, **scan)
+        assert all(k.tobytes() == f.tobytes() for k, f in zip(kept, fresh))
+        assert bodies.boundary_quadratic_scan(body, form, sense, **scan)[0] is kept[0]
+    dirs, vals = kept
+    with pytest.raises(ValueError):
+        dirs[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        vals[0] = 1.0
+
+
+def _fold_merge_pairwise(points):
+    """The pairwise loop `fold_merge` replaced, kept as its reference."""
+    kept, units = [], []
+    for p in points:
+        p, u = bodies.canonical_pair(p)
+        if any(abs(float(u @ v)) >= np.cos(1e-4) for v in units):
+            continue
+        kept.append(p)
+        units.append(u)
+    return kept
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fold_merge_matches_the_pairwise_loop(n):
+    rng = np.random.default_rng(n)
+    base = rng.standard_normal((30, n))
+
+    def turned(x, angle):  # x rotated by `angle` radians in a random plane
+        u = x / np.linalg.norm(x)
+        w = rng.standard_normal(n)
+        w -= (w @ u) * u
+        return np.linalg.norm(x) * (np.cos(angle) * u + np.sin(angle) * w / np.linalg.norm(w))
+
+    cloud = np.vstack([base, -base[::2], base[1::3], 2.0 * base[::5],
+                       [turned(x, 0.5e-4) for x in base[::2]],
+                       [-turned(x, 2e-4) for x in base[1::2]]])
+    cloud = cloud[rng.permutation(len(cloud))]
+    units = cloud / np.linalg.norm(cloud, axis=1, keepdims=True)
+    cos = np.abs(units @ units.T)
+    assert np.min(np.abs(cos - np.cos(1e-4))) > 1e-9  # every pair is clear of the threshold
+    ref = _fold_merge_pairwise(cloud)
+    assert len(ref) == len(base) + len(base[1::2])  # copies and 0.5e-4 turns merge, 2e-4 turns stay
+    assert np.array_equal(bodies.fold_merge(cloud), ref)
+    assert np.array_equal(bodies.fold_merge(list(cloud)), ref)
 
 
 def test_norm_triangle_inequality():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ellipfit as ef
+from ellipfit import bodies
 from ellipfit.certificates import _svec, _svec_dyads
 from util import (cross_h, rand_polytope_h, rand_spd_ellipsoid, rectangle_h,
                   square_h)
@@ -34,6 +35,17 @@ def test_contact_points_sampled_body():
     for p in pts:
         assert abs(np.linalg.norm(p) - 1.0) < 1e-6
         assert min(abs(abs(p[0]) - 1.0), abs(abs(p[1]) - 1.0)) < 1e-4
+
+
+def test_verify_u_scans_the_candidate_once(monkeypatch):
+    # containment and contact finding read the same scan of Q_F, kept on the body
+    calls = []
+    descent = bodies._pattern_descent
+    monkeypatch.setattr(bodies, "_pattern_descent", lambda *args: calls.append(1) or descent(*args))
+    ball = ef.unit_ball(3)  # the minimizer of the p=3 ball: it touches on the axes
+    res = ef.verify_u(ef.LpBall(3, 1.0, 3), ball, ball, 1e-6)
+    assert res.verdict == ef.VERIFIED and res.certificate.points.shape[0] == 3
+    assert len(calls) == 1
 
 
 def test_isotropy_certificate_examples():

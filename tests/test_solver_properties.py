@@ -4,7 +4,7 @@ body, and a linear image of the whole instance), and of the circumscribed
 solve against forms that touch the body and against linear images."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ellipfit as ef
@@ -100,6 +100,7 @@ def test_no_touching_form_beats_the_circumscribed_value(seed, n, extra):
 
 @PROPERTY
 @given(**vertex_instances, log_cond=st.floats(0.0, 3.0))
+@example(seed=2764331683, n=3, extra=2, log_cond=0.0)  # X ends with a 2-d null space
 def test_linear_maps_commute_with_the_circumscribed_solve(seed, n, extra, log_cond):
     rng, body, e = _vertex_instance(seed, n, extra)
     t = rand_invertible(rng, n, cond=10.0**log_cond)
@@ -107,10 +108,11 @@ def test_linear_maps_commute_with_the_circumscribed_solve(seed, n, extra, log_co
     image = ef.solve_u_bar(ef.linear_image(t, body), ef.ellipsoid_linear_image(t, e))
     assert image.status == base.status
     assert abs(image.i_value - base.i_value) <= 1e-9 * base.i_value
-    if base.status == "non_attained":
-        if n == 2:  # the null direction d of B maps to T d (in 3-d it need not be unique)
-            mapped = t @ base.degenerate_direction
-            assert abs(mapped @ image.degenerate_direction) >= (1 - 1e-6) * np.linalg.norm(mapped)
+    if base.status == "non_attained":  # the null space N of the limit form maps to T N
+        assert np.array_equal(base.null_space[0], base.degenerate_direction)
+        mapped = np.linalg.qr(t @ base.null_space.T)[0]
+        assert image.null_space.shape == base.null_space.shape
+        assert np.linalg.norm(mapped @ mapped.T - image.null_space.T @ image.null_space) <= 1e-8
     elif base.uniqueness == "unknown":
         mapped = ef.ellipsoid_linear_image(t, base.maximizer)
         assert ef.form_distance(image.maximizer, mapped) <= 1e-6
