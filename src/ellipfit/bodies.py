@@ -97,7 +97,7 @@ class ConvexBody:
         # does not depend on the form scanned, and gauge evaluation
         # dominates the cost of a scan.
         self.boundary_nets: dict = {}
-        # (arguments, directions, values) of the last boundary_quadratic_scan
+        # (arguments, points, values) of the last boundary_quadratic_scan
         self.last_scan: tuple | None = None
 
     def norm(self, x) -> float:
@@ -373,11 +373,10 @@ def direction_net(dim: int, size: int | None = None) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _boundary_values(body: ConvexBody, form: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """x^T Q x at the boundary points x = dir / gauge(dir)."""
-    gauges = norm_many(body, dirs)
-    x = dirs / gauges[:, None]
-    return np.einsum("ij,jk,ik->i", x, form, x)
+def _boundary_values(body: ConvexBody, form: np.ndarray, dirs: np.ndarray):
+    """The boundary points x = dir / gauge(dir) and x^T Q x at them."""
+    x = dirs / norm_many(body, dirs)[:, None]
+    return x, np.einsum("ij,jk,ik->i", x, form, x)
 
 
 def _net_boundary(body: ConvexBody, size: int | None) -> np.ndarray:
@@ -395,7 +394,7 @@ def _pattern_descent(body, form, starts, sense, rounds):
     pts = starts / np.linalg.norm(starts, axis=1, keepdims=True)
     n = pts.shape[1]
     step = np.full(pts.shape[0], 0.35)
-    best = sense * _boundary_values(body, form, pts)
+    best = sense * _boundary_values(body, form, pts)[1]
     for _ in range(rounds):
         if np.all(step < 1e-8):
             break
@@ -403,7 +402,7 @@ def _pattern_descent(body, form, starts, sense, rounds):
         cand = pts[:, None, :] + step[:, None, None] * moves[None, :, :]
         cand = cand.reshape(-1, n)
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        vals = (sense * _boundary_values(body, form, cand)).reshape(pts.shape[0], 2 * n)
+        vals = (sense * _boundary_values(body, form, cand)[1]).reshape(pts.shape[0], 2 * n)
         idx = np.argmin(vals, axis=1)
         improved = vals[np.arange(pts.shape[0]), idx] < best - 1e-15
         chosen = cand.reshape(pts.shape[0], 2 * n, n)[np.arange(pts.shape[0]), idx]
@@ -419,9 +418,9 @@ def boundary_quadratic_scan(body: ConvexBody, form: np.ndarray, sense: int = 1, 
     """Sampled extremum of x^T Q x over the body boundary.
 
     sense=+1 searches the minimum, sense=-1 the maximum.  Returns
-    (directions, values): all candidate unit directions considered (net
-    plus multistart descent refinements) and x^T Q x at their boundary
-    points.  Deterministic, so the body keeps the last result: a repeated
+    (points, values): the boundary points of all candidate directions
+    considered (net plus multistart descent refinements) and x^T Q x at
+    them.  Deterministic, so the body keeps the last result: a repeated
     call with the same arguments returns the same read-only arrays.
     """
     form = np.asarray(form, dtype=float)
@@ -438,11 +437,12 @@ def boundary_quadratic_scan(body: ConvexBody, form: np.ndarray, sense: int = 1, 
     top = net_pts[np.argsort(sense * net_vals)[: max(8, n * 4)]]
     top = top / np.linalg.norm(top, axis=1, keepdims=True)
     refined = _pattern_descent(body, form, np.vstack([g, top]), sense, rounds)
-    dirs = np.vstack([net_pts / np.linalg.norm(net_pts, axis=1, keepdims=True), refined])
-    vals = np.concatenate([net_vals, _boundary_values(body, form, refined)])
-    dirs.flags.writeable = vals.flags.writeable = False
-    body.last_scan = (key, dirs, vals)
-    return dirs, vals
+    refined, refined_vals = _boundary_values(body, form, refined)
+    pts = np.vstack([net_pts, refined])
+    vals = np.concatenate([net_vals, refined_vals])
+    pts.flags.writeable = vals.flags.writeable = False
+    body.last_scan = (key, pts, vals)
+    return pts, vals
 
 
 @dataclass(frozen=True)
@@ -464,15 +464,18 @@ class ContainmentVerdict:
 def _boundary_extremum(body: ConvexBody, form: np.ndarray, sense: int, form_inv=None,
                        **scan) -> tuple[float, np.ndarray, str]:
     """Min (sense=+1) or max (sense=-1) of x^T Q x over the body boundary,
-    as (value, direction where it lies, method).  "exact" through the
-    facets for the min (1 / max_j h_j^T Q^{-1} h_j, with Q^{-1} passed as
-    `form_inv`), the extreme points for the max, or the eigenvalues of a
-    quadric; "sampled" by `boundary_quadratic_scan` otherwise."""
+    as (value, boundary point where it lies, method).  "exact" through
+    the facets for the min (1 / max_j h_j^T Q^{-1} h_j at d / max|H d|
+    with d = Q^{-1} h_j, Q^{-1} passed as `form_inv`), the extreme points
+    for the max, or the eigenvalues of a quadric; "sampled" by
+    `boundary_quadratic_scan` otherwise, the point copied out of the
+    kept scan."""
     facets = body.facet_form
     if sense > 0 and facets is not None:
         t = np.einsum("ij,jk,ik->i", facets, form_inv, facets)
         j = int(np.argmax(t))
-        return float(1.0 / t[j]), form_inv @ facets[j], "exact"
+        d = form_inv @ facets[j]
+        return float(1.0 / t[j]), d / np.max(np.abs(facets @ d)), "exact"
     pts = body.extreme_points
     if sense < 0 and pts is not None:
         vals = np.einsum("ij,jk,ik->i", pts, form, pts)
@@ -483,9 +486,9 @@ def _boundary_extremum(body: ConvexBody, form: np.ndarray, sense: int, form_inv=
         mvals, mvecs = sym_eigen(w @ form @ w)
         k = -1 if sense > 0 else 0
         return float(mvals[k]), w @ mvecs[:, k], "exact"
-    dirs, vals = boundary_quadratic_scan(body, form, sense, **scan)
+    pts, vals = boundary_quadratic_scan(body, form, sense, **scan)
     i = int(np.argmin(sense * vals))
-    return float(vals[i]), dirs[i], "sampled"
+    return float(vals[i]), pts[i].copy(), "sampled"
 
 
 def contains_ellipsoid(body: ConvexBody, ellipsoid, tol: float, *,
@@ -496,25 +499,24 @@ def contains_ellipsoid(body: ConvexBody, ellipsoid, tol: float, *,
     Containment is equivalent to x^T Q x >= 1 on the whole body boundary,
     so the verdict reads the boundary minimum of `_boundary_extremum`:
     exact for facet forms (h^T Q^{-1} h <= 1 per facet) and ellipsoidal
-    bodies, a direction net plus multistart descent otherwise.
+    bodies, a direction net plus multistart descent otherwise.  The
+    witness is the boundary point where that minimum lies.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if ellipsoid.dim != body.dim:
         raise ValueError("dimension mismatch between body and ellipsoid")
-    low, direction, method = _boundary_extremum(
+    low, witness, method = _boundary_extremum(
         body, ellipsoid.q, 1, ellipsoid.q_inv, net_size=net_size, starts=starts, rounds=rounds)
     margin = low - 1.0
-    return ContainmentVerdict(bool(margin >= -tol), float(margin),
-                              boundary_point(body, direction), method)
+    return ContainmentVerdict(bool(margin >= -tol), float(margin), witness, method)
 
 
 def boundary_form_max(body: ConvexBody, form: np.ndarray) -> tuple[float, np.ndarray]:
-    """Max of x^T B x over the body boundary, with a direction where it is
-    found.  Exact through extreme points or a quadric form when the body
-    has them, sampled otherwise."""
-    high, direction, _ = _boundary_extremum(body, form, -1)
-    return high, direction
+    """Max of x^T B x over the body boundary, with the boundary point
+    where it is found.  Exact through extreme points or a quadric form
+    when the body has them, sampled otherwise."""
+    return _boundary_extremum(body, form, -1)[:2]
 
 
 def body_in_ellipsoid(body: ConvexBody, ellipsoid, tol: float) -> tuple[bool, float]:

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import (ConvexBody, boundary_point, boundary_quadratic_scan,
-                     contains_ellipsoid, fold_merge)
+from .bodies import (ConvexBody, boundary_quadratic_scan, contains_ellipsoid,
+                     fold_merge)
 from .ellipsoids import Ellipsoid
-from .numerics import solve_nnls
+from .numerics import inv_sqrt, solve_nnls, sym_eigen
 
 VERIFIED = "verified"
 FAILED_CONTAINMENT = "failed_containment"
@@ -66,28 +66,40 @@ def _svec_dyads(points: np.ndarray) -> np.ndarray:
     return np.hstack([points * points, np.sqrt(2.0) * (points[:, p] * points[:, q])])
 
 
-def contact_points(body: ConvexBody, f: Ellipsoid, tol: float) -> np.ndarray:
-    """Points of the body boundary where the inscribed ellipsoid touches.
+def contact_points(body: ConvexBody, e: Ellipsoid, f: Ellipsoid, tol: float) -> np.ndarray:
+    """Points of the body boundary where the inscribed ellipsoid F touches.
 
-    For facet polytopes each facet with h^T Q_F^{-1} h within tol of 1
-    contributes Q_F^{-1} h normalized to the touching point.  Other bodies
-    are scanned with the separation oracle's direction net and descent
-    refinement, filtered by |x^T Q_F x - 1| <= tol at boundary points.
+    For facet forms each facet with h^T Q_F^{-1} h within tol of 1
+    contributes Q_F^{-1} h normalized to the touching point.  On a quadric
+    body {x : x^T Q_K x <= 1}, with W = Q_K^{-1/2}, F touches along the
+    span U of the eigenvectors of W Q_F W with eigenvalue within tol of 1;
+    the contacts are W u_i for the u_i in U that diagonalize
+    W^{-1} Q_E^{-1} W^{-1} there, so they carry the isotropy weights
+    exactly when U is the whole space.  Other bodies take the points of
+    the boundary scan of Q_F with |x^T Q_F x - 1| <= tol, closest first.
     Antipodal pairs are folded and near-duplicates merged; the result can
     be empty, in which case certification fails downstream.
     """
-    if f.dim != body.dim:
+    if f.dim != body.dim or e.dim != body.dim:
         raise ValueError("dimension mismatch")
-    facets = body.facet_form
+    facets, q_k = body.facet_form, body.quadric_form
     if facets is not None:
         t = np.einsum("ij,jk,ik->i", facets, f.q_inv, facets)
         found = [(f.q_inv @ facets[j]) / np.sqrt(t[j])
                  for j in np.flatnonzero(np.abs(t - 1.0) <= tol)]
+    elif q_k is not None:
+        w = inv_sqrt(q_k)
+        vals, vecs = sym_eigen(w @ f.q @ w)
+        span = vecs[:, np.abs(vals - 1.0) <= tol]
+        root = q_k @ w  # W^{-1}
+        sub = span.T @ root @ e.q_inv @ root @ span
+        found = (w @ span @ sym_eigen(sub)[1]).T if span.size else []
     else:
-        dirs, vals = boundary_quadratic_scan(body, f.q, sense=1)
+        pts, vals = boundary_quadratic_scan(body, f.q, sense=1)
         gaps = np.abs(vals - 1.0)
-        found = [boundary_point(body, dirs[i]) for i in np.argsort(gaps) if gaps[i] <= tol]
-    if not found:
+        order = np.argsort(gaps)
+        found = pts[order[gaps[order] <= tol]]
+    if not len(found):
         return np.empty((0, body.dim))
     return np.array(fold_merge(found))
 
@@ -120,7 +132,7 @@ def verify_u(body: ConvexBody, e: Ellipsoid, f: Ellipsoid, tol: float) -> Verify
     verdict = contains_ellipsoid(body, f, tol)
     if not verdict.contained:
         return VerifyResult(FAILED_CONTAINMENT, float("nan"), None)
-    pts = contact_points(body, f, tol)
+    pts = contact_points(body, e, f, tol)
     if pts.shape[0] == 0:
         empty = Certificate(points=pts, weights=np.empty(0), residual=1.0, metric=e)
         return VerifyResult(FAILED_ISOTROPY, 1.0, empty)

@@ -51,35 +51,14 @@ def _load_configs(path):
     return solve_cfg, grid_cfg
 
 
-def _jsonify(value):
-    if isinstance(value, np.ndarray):
-        return _jsonify(value.tolist())
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    return value
-
-
 def _emit(doc, out_path):
-    text = json.dumps(_jsonify(doc), indent=2) + "\n"
+    # numpy arrays and scalars other than np.float64 (a float) go through tolist
+    text = json.dumps(doc, indent=2, default=lambda v: v.tolist()) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _certificate_doc(body, e, f, tol):
-    points = certificates.contact_points(body, f, tol)
-    if points.shape[0] == 0:
-        return {"points": [], "weights": [], "residual": 1.0}
-    cert = certificates.isotropy_certificate(e, points)
-    return {"points": cert.points, "weights": cert.weights, "residual": cert.residual}
 
 
 def _cmd_compute_u(args):
@@ -88,13 +67,15 @@ def _cmd_compute_u(args):
     cfg, _ = _load_configs(args.config)
     rep = solver.solve_u(body, e, cfg)
     tol = max(1e-6, 10.0 * cfg.tol_feas)
+    cert = certificates.verify_u(body, e, rep.minimizer, tol).certificate
     doc = {
         "status": rep.status,
         "J": rep.j_value,
         "Q_F": rep.minimizer.q,
         "cuts": rep.cuts,
         "active_cuts": rep.active_cuts,
-        "certificate": _certificate_doc(body, e, rep.minimizer, tol),
+        "certificate": {"points": [], "weights": [], "residual": 1.0} if cert is None else
+                       {"points": cert.points, "weights": cert.weights, "residual": cert.residual},
         "seed": cfg.seed,
     }
     _emit(doc, args.out)
@@ -183,9 +164,8 @@ def _cmd_render(args):
     tol = max(1e-6, 10.0 * cfg.tol_feas)
     contacts = []
     for e in ellipsoids:
-        if contains_ellipsoid(body, e, tol).contained:
-            pts = certificates.contact_points(body, e, tol)
-            contacts.extend(pts)
+        if contains_ellipsoid(body, e, tol).contained:  # each ellipsoid is its own reference
+            contacts.extend(certificates.contact_points(body, e, e, tol))
     text = render.render_svg(body, ellipsoids, np.array(contacts) if contacts else None)
     if args.out is None:
         sys.stdout.write(text)

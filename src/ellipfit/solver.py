@@ -60,7 +60,7 @@ import numpy as np
 
 from .bodies import (ConvexBody, PolytopeV, body_in_ellipsoid,
                      boundary_form_max, boundary_point, canonical_pair,
-                     contains_ellipsoid, linear_image, polar)
+                     contains_ellipsoid, linear_image, norm_many, polar)
 from .certificates import _pairs, _svec, _svec_dyads, contact_points
 from .ellipsoids import Ellipsoid, form_distance, m_ellipsoid, make_ellipsoid
 from .numerics import (LpProblem, NotPositiveDefiniteError, cholesky, inv_sqrt,
@@ -111,11 +111,13 @@ class SolveConfig:
 class SolveReport:
     """Outcome of `solve_u`.
 
-    Facet-form bodies are solved by the dual: `cuts` holds one boundary
-    point per facet (the witness `contains_ellipsoid` builds), `gap` is
-    the final duality gap and `lp_iterations` is 0.  Other bodies run the
-    cutting-plane loop: `cuts` are its boundary-point cuts, `gap` is None
-    and `lp_iterations` counts the LP solves over all restarts.
+    Ellipsoidal bodies are solved in closed form: `cuts` are the contacts
+    `contact_points` finds and `gap` is 0.  Facet-form bodies are solved
+    by the dual: `cuts` holds the boundary point along Q_F^{-1} h_j for
+    each facet h_j, `gap` is the final duality gap and `lp_iterations` is
+    0.  Other bodies run the cutting-plane loop: `cuts` are its
+    boundary-point cuts, `gap` is None and `lp_iterations` counts the LP
+    solves over all restarts.
     """
 
     minimizer: Ellipsoid
@@ -335,24 +337,22 @@ class _CutPool:
 
 
 def _initial_cuts(body: ConvexBody, seed: int) -> _CutPool:
+    """Boundary points along the axes, 4n random directions and the listed
+    extreme points, all through one batched gauge."""
     n = body.dim
-    pool = _CutPool()
-    eye = np.eye(n)
-    for i in range(n):
-        pool.push(boundary_point(body, eye[i]))
-        pool.push(boundary_point(body, -eye[i]))
-    rng = np.random.default_rng(seed)
-    for d in rng.standard_normal((4 * n, n)):
-        if np.any(d):
-            pool.push(boundary_point(body, d))
+    dirs = [np.eye(n), np.random.default_rng(seed).standard_normal((4 * n, n))]
     # extreme points lie where violations concentrate for vertex-described
     # bodies; seeding them saves separation-oracle rounds.  They go through
-    # boundary_point because the listed points may include interior ones
+    # the gauge because the listed points may include interior ones
     # (redundant generators), where x^T B x >= 1 would be an invalid cut.
     pts = body.extreme_points
     if pts is not None and pts.shape[0] <= 64:
-        for p in pts:
-            pool.push(boundary_point(body, p))
+        dirs.append(pts)
+    dirs = np.vstack(dirs)
+    dirs = dirs[np.any(dirs, axis=1)]
+    pool = _CutPool()
+    for x in dirs / norm_many(body, dirs)[:, None]:
+        pool.push(x)
     return pool
 
 
@@ -455,7 +455,7 @@ def _vrep_facet_normal(body, x):
     return h
 
 
-def _collect_contacts(body, b0, cfg):
+def _collect_contacts(body, e, b0, cfg):
     """Contact triples for the polish: the scaled normal on a smooth
     boundary; on a 2-d vertex polytope the supporting facet, or a frozen
     point at a vertex.  Other bodies get none."""
@@ -463,7 +463,7 @@ def _collect_contacts(body, b0, cfg):
     if smooth is None and not (isinstance(body, PolytopeV) and body.dim == 2):
         return []
     window = max(1e-3, 100.0 * cfg.tol_feas)
-    points = contact_points(body, make_ellipsoid(b0), window)
+    points = contact_points(body, e, make_ellipsoid(b0), window)
     if smooth is not None:
         def on_boundary(x, _body=body):
             return _body.norm(x) - 1.0
@@ -552,7 +552,7 @@ def _newton_contacts(c_mat, b0, contacts, pairs):
 
 def _polish(body, e, b0, cfg):
     pairs = _pairs(body.dim)
-    contacts = _collect_contacts(body, b0, cfg)
+    contacts = _collect_contacts(body, e, b0, cfg)
     n = body.dim
     if len(contacts) > n:
         # flat boundaries put whole arcs of near-contacts inside the window;
@@ -605,15 +605,14 @@ def _finalize(body, e, b, cfg):
     return make_ellipsoid(b)
 
 
-def _quadric_report(q_k, e: Ellipsoid) -> SolveReport:
-    """B = Q_K for the ellipsoidal body {x : x^T Q_K x <= 1}.  With
-    W = Q_K^{-1/2}, the cuts W v_i for the eigenvectors v_i of
-    W^{-1} Q_E^{-1} W^{-1}, weighted by its eigenvalues, certify it."""
-    minimizer = make_ellipsoid(q_k)
-    w = inv_sqrt(minimizer.q)
-    root = minimizer.q @ w  # W^{-1} = Q_K^{1/2}
-    _, vecs = sym_eigen(root @ e.q_inv @ root)
-    cuts = (w @ vecs).T
+def _quadric_report(body: ConvexBody, e: Ellipsoid) -> SolveReport:
+    """B = Q_K for the ellipsoidal body {x : x^T Q_K x <= 1}.  Its
+    contacts (`contact_points`: W v_i with W = Q_K^{-1/2} for the
+    eigenvectors v_i of W^{-1} Q_E^{-1} W^{-1}, weighted by its
+    eigenvalues) certify it and are the cuts."""
+    minimizer = make_ellipsoid(body.quadric_form)
+    # W Q_K W = I up to round-off, so any tol below 1 keeps every direction
+    cuts = contact_points(body, e, minimizer, 0.5)
     return SolveReport(minimizer=minimizer, j_value=m_ellipsoid(e, minimizer),
                        status="optimal", cuts=cuts, active_cuts=cuts, lp_iterations=0,
                        gap=0.0)
@@ -637,7 +636,7 @@ def solve_u(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) ->
     if cfg.max_cuts < 2 * body.dim:
         raise ValueError("max_cuts must be at least 2 * dim")
     if body.quadric_form is not None:
-        return _quadric_report(body.quadric_form, e)
+        return _quadric_report(body, e)
     facets = body.facet_form
     runs = []
     total_lp = 0
@@ -664,7 +663,8 @@ def solve_u(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) ->
                     f"restarts {i} and {j} disagree by {d:.2e} (> 1e-4)")
     minimizer, points, _, gap = min(runs, key=lambda run: m_ellipsoid(e, run[0]))
     if facets is not None:
-        points = [boundary_point(body, minimizer.q_inv @ h) for h in facets]
+        points = facets @ minimizer.q_inv
+        points /= norm_many(body, points)[:, None]
     cuts = np.array(points)
     vals = np.einsum("ij,jk,ik->i", cuts, minimizer.q, cuts)
     active = cuts[np.abs(vals - 1.0) <= 10.0 * cfg.tol_feas]
@@ -853,10 +853,10 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
         steps += end.steps
         done = end.gap is not None and end.gap <= _PATH_GAP
         x, flat, null = _optimal_face(v, end) if done else (end.root @ end.root.T, None, None)
-        worst, direction = (1.0, None) if exact else boundary_form_max(body, e.chol @ x @ e.chol.T)
+        worst, point = (1.0, None) if exact else boundary_form_max(body, e.chol @ x @ e.chol.T)
         if not done or worst <= 1.0 + cfg.tol_feas:
             break
-        points = np.vstack([points, boundary_point(body, direction)])
+        points = np.vstack([points, point])
     report = dict(i_value=float(np.sqrt(np.trace(x) / n)), maximizer=None,
                   degenerate_direction=None, null_space=None, uniqueness="unknown",
                   second=None, gap=end.gap)

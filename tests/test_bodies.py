@@ -345,3 +345,15 @@ def test_nested_json_image_matches_linear_image_twin():
         assert abs(ra.j_value - rb.j_value) <= 1e-9 * rb.j_value, inner
         if nested.facet_form is not None:
             assert ra.gap is not None and rb.gap is not None, inner
+
+
+def test_containment_witness_is_a_boundary_point_of_its_own():
+    t = np.array([[1.2, 0.4, 0.0], [-0.3, 0.9, 0.2], [0.1, 0.0, 1.4]])
+    inner = [square_h(), cross_v(2), ef.LpBall(1, 1.0, 2), ef.LpBall(2, 1.5, 2),
+             ef.LpBall(3, 1.0, 3), ef.LpBall(np.inf, 0.5, 3)]
+    for body in inner + [ef.linear_image(t[:b.dim, :b.dim], b) for b in inner]:
+        f = ef.make_ellipsoid(np.diag(np.arange(2.0, 2.0 + body.dim)) * 4.0)
+        v = ef.contains_ellipsoid(body, f, 1e-6)
+        assert abs(body.norm(v.witness) - 1.0) <= 1e-12, type(body)
+        if body.last_scan is not None:
+            assert not np.shares_memory(v.witness, body.last_scan[1])

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 import ellipfit as ef
-from ellipfit import bodies
+from ellipfit import bodies, certificates
 from ellipfit.certificates import _svec, _svec_dyads
+from ellipfit.numerics import inv_sqrt
 from util import (cross_h, rand_polytope_h, rand_spd_ellipsoid, rectangle_h,
                   square_h)
 
 
 def test_contact_points_square_disk():
-    pts = ef.contact_points(square_h(), ef.unit_ball(2), 1e-6)
+    pts = ef.contact_points(square_h(), ef.unit_ball(2), ef.unit_ball(2), 1e-6)
     assert pts.shape == (2, 2)
     assert np.allclose(np.sort(np.abs(pts).max(axis=1)), [1.0, 1.0])
     got = {tuple(np.round(np.abs(p), 9)) for p in pts}
@@ -18,19 +19,19 @@ def test_contact_points_square_disk():
 
 def test_contact_points_rectangle():
     f = ef.make_ellipsoid(np.diag([0.25, 1.0]))
-    pts = ef.contact_points(rectangle_h(), f, 1e-6)
+    pts = ef.contact_points(rectangle_h(), ef.unit_ball(2), f, 1e-6)
     got = {tuple(np.round(np.abs(p), 9)) for p in pts}
     assert got == {(2.0, 0.0), (0.0, 1.0)}
 
 
 def test_contact_points_none_when_strictly_inside():
     small = ef.make_ellipsoid(4.0 * np.eye(2))  # disk of radius 1/2
-    assert ef.contact_points(square_h(), small, 1e-6).shape[0] == 0
+    assert ef.contact_points(square_h(), ef.unit_ball(2), small, 1e-6).shape[0] == 0
 
 
 def test_contact_points_sampled_body():
     # unit disk inscribed in the p=4 ball touches exactly on the axes
-    pts = ef.contact_points(ef.LpBall(4, 1.0, 2), ef.unit_ball(2), 1e-8)
+    pts = ef.contact_points(ef.LpBall(4, 1.0, 2), ef.unit_ball(2), ef.unit_ball(2), 1e-8)
     assert pts.shape[0] == 2
     for p in pts:
         assert abs(np.linalg.norm(p) - 1.0) < 1e-6
@@ -121,3 +122,56 @@ def test_dyads_pack_like_single_forms():
         rows = _svec_dyads(pts)
         for p, row in zip(pts, rows):
             assert np.array_equal(row, _svec(np.outer(p, p)))
+
+
+def _ellipsoidal_image():
+    t = np.array([[1.5, 0.3, -0.2], [0.1, 0.8, 0.4], [-0.3, 0.2, 1.2]])
+    body = ef.linear_image(t, ef.LpBall(2, 1.0, 3))
+    return body, ef.make_ellipsoid(body.quadric_form)
+
+
+def test_quadric_contacts_are_closed_form():
+    # the image of the 2-ball is its own minimizer; it touches itself
+    # everywhere, and the isotropy weights pick one contact per axis
+    body, own = _ellipsoidal_image()
+    for e in (own, ef.make_ellipsoid(np.diag([1.0, 2.0, 3.0]))):
+        res = ef.verify_u(body, e, own, 1e-6)
+        assert res.verdict == ef.VERIFIED
+        assert res.certificate.points.shape[0] == 3
+        assert res.residual <= 1e-12
+
+
+def test_quadric_contacts_on_a_subspace():
+    # W Q_F W with eigenvalues 1, 1, 2: F touches K on a plane only
+    body, own = _ellipsoidal_image()
+    root = inv_sqrt(own.q_inv)  # Q_K^{1/2} = W^{-1}
+    v = np.linalg.qr(np.array([[1.0, 2.0, 0.5], [0.3, -1.0, 2.0], [1.5, 0.2, -0.7]]))[0]
+    f = ef.make_ellipsoid(root @ v @ np.diag([1.0, 1.0, 2.0]) @ v.T @ root)
+    res = ef.verify_u(body, own, f, 1e-6)
+    assert res.verdict == ef.FAILED_ISOTROPY
+    assert res.certificate.points.shape[0] == 2
+    for x in res.certificate.points:
+        assert abs(body.norm(x) - 1.0) <= 1e-12
+        assert abs(float(x @ f.q @ x) - 1.0) <= 1e-12
+
+
+def test_quadric_contacts_none_when_strictly_inside():
+    body, own = _ellipsoidal_image()
+    inner = ef.make_ellipsoid(1.01 * own.q)
+    assert ef.contact_points(body, own, inner, 1e-6).shape == (0, 3)
+    res = ef.verify_u(body, own, inner, 1e-6)
+    assert res.verdict == ef.FAILED_ISOTROPY and res.residual == 1.0
+
+
+def test_sampled_contacts_come_from_the_scan(monkeypatch):
+    # every binding of boundary_point counts, so no module calls it
+    calls = []
+    original = bodies.boundary_point
+    for module in (ef, bodies, certificates):
+        if getattr(module, "boundary_point", None) is original:
+            monkeypatch.setattr(module, "boundary_point",
+                                lambda *args: calls.append(1) or original(*args))
+    inscribed = ef.make_ellipsoid(2.0 * np.eye(2))  # touches the cross-polytope at (+-1, +-1) / 2
+    res = ef.verify_u(ef.PolytopeV(np.eye(2)), ef.unit_ball(2), inscribed, 1e-6)
+    assert res.verdict == ef.VERIFIED and res.certificate.points.shape[0] == 2
+    assert calls == []

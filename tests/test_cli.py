@@ -141,3 +141,17 @@ def test_numerical_failure_exits_2(files, capsys):
                  "--config", str(cfg), "--out", out])
     assert code == 2
     assert _read(out)["status"] == "max_cuts_reached"  # report still written
+
+
+def test_booleans_are_json_booleans(files, capsys):
+    assert main(["check-john", "--body", files["square"], "--ellipsoid", files["ball"]]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["is_fixed_point"] is True and doc["contained"] is True
+    assert main(["check-john", "--body", files["square"], "--ellipsoid", files["skew"]]) == 0
+    assert json.loads(capsys.readouterr().out)["is_fixed_point"] is False
+    assert main(["iterate", "--body", files["rect"], "--ellipsoid", files["ball"],
+                 "--steps", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["fixed_point_reached"] is True
+    assert main(["iterate", "--body", files["rect"], "--ellipsoid", files["ball"],
+                 "--steps", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["fixed_point_reached"] is False
