@@ -2,26 +2,22 @@
 
 `solve_u` computes the unique inscribed ellipsoid minimizing the
 mean-square gauge over a reference ellipsoid E, i.e. the form B = Q_F
-minimizing trace(Q_E^{-1} B) subject to containment in the body.
-
-Bodies with a facet form {x : |h_j . x| <= 1} (facet polytopes, lp balls
-with p in {1, inf}, their linear images) are solved through the
-Lagrangian dual.  With Q_E = L L^T and whitened facets g_j = L^{-1} h_j,
-
-    n J^2 = max over the simplex of (tr N(mu)^{1/2})^2,
-    N(mu) = sum_j mu_j g_j g_j^T,
-
-and omega_j = g_j^T N^{-1/2} g_j satisfies sum_j mu_j omega_j =
-tr N^{1/2}.  Any weights give the feasible form
-B = max_j omega_j * L N^{1/2} L^T, whose objective exceeds the dual
-bound by the factor 1 + gap with gap = max_j omega_j / tr N^{1/2} - 1,
-so the gap certifies the answer.  The weights move by the multiplicative
-update mu_j <- mu_j omega_j / tr N^{1/2} until the gap is below one, then
-by line-searched Newton steps on the concave function
-2 tr N(nu)^{1/2} - sum(nu), whose support comes from the nonnegative
-quadratic model; where a Newton step fails, a pairwise step between two
-facets may replace the multiplicative one.  The positive weights at the
-optimum are the isotropy certificate.
+minimizing trace(Q_E^{-1} B) subject to containment in the body;
+`solve_u_bar` the circumscribed forms maximizing it.  With Q_E = L L^T
+both run one log-barrier central path (Vandenberghe, Boyd & Wu 1998) on
+a whitened form X under constraints v_k^T X v_k <= 1.  The
+circumscribed path maximizes tr X with B = L X L^T and v_k = L^T w_k
+for boundary points w_k.  The inscribed one, for a facet form
+{x : |h_j . x| <= 1} (facet polytopes, lp balls with p in {1, inf},
+their linear images), minimizes tr X^{-1} = trace(Q_E^{-1} B) with
+B = L X^{-1} L^T and v_j = L^{-1} h_j, as h_j^T Q_F^{-1} h_j =
+v_j^T X v_j.  With slacks s_k = 1 - v_k^T X v_k the center at t
+maximizes tr X (or -tr X^{-1}) + t (log det X + sum_k log s_k); there
+lam_k = t / s_k and Z = t X^{-1} are dual feasible, so the gap is
+t (n + m), relative to tr X (or tr X^{-1}).  The circumscribed path
+stops at 1e-12 and reads attainment and uniqueness off the analytic
+center of the optimal face, which the centers reach as t -> 0; the
+inscribed one, whose minimizer is unique, stops at 1e-16.
 
 An ellipsoidal body {x : x^T Q_K x <= 1} is its own minimizer: every
 inscribed form satisfies B >= Q_K, so B = Q_K in closed form.
@@ -41,15 +37,6 @@ After convergence a guarded Newton polish solves the contact equations
 identity for the objective gradient) at the points
 `certificates.contact_points` finds, to pin the optimum well below the
 LP feasibility floor, and a final rescale makes containment exact.
-
-`solve_u_bar` runs the circumscribed problem, max trace(Q_E^{-1} B) over
-B >= 0 with w_k^T B w_k <= 1 at boundary points w_k, by a log-barrier
-central path (Vandenberghe & Boyd 1996).  With B = L X L^T, v_k = L^T w_k
-and slacks s_k = 1 - v_k^T X v_k, the center at t maximizes tr X +
-t (log det X + sum_k log s_k); there lam_k = t / s_k and Z = t X^{-1} =
-sum_k lam_k v_k v_k^T - I are dual feasible, so its gap is t (n + m).
-As t -> 0 the centers reach the analytic center of the optimal face,
-which decides attainment and uniqueness.
 """
 
 from __future__ import annotations
@@ -70,12 +57,6 @@ from .numerics import (LpProblem, NotPositiveDefiniteError, cholesky, inv_sqrt,
 # further cutting cannot make progress and the polish takes over.
 _LP_FLOOR = 3e-9
 
-# Duality gap at which the facet dual stops: a few units of round-off.
-_GAP_TOL = 1e-14
-# Share of the old weights every Newton step keeps, so that no facet weight
-# becomes exactly zero and the multiplicative update can revive any facet.
-_KEEP = 1e-3
-
 
 class SolverError(RuntimeError):
     """The cutting-plane solve failed structurally (box too small, ...)."""
@@ -91,6 +72,13 @@ class UnsupportedBodyError(ValueError):
 
 @dataclass(frozen=True)
 class SolveConfig:
+    """Solver settings.  `tol_feas` is the containment tolerance of every
+    solve.  `max_cuts` caps the Newton steps of either central path, or
+    the LP solves of each cutting-plane restart.  `restarts`, `tol_obj`
+    and `box_R` apply to the cutting-plane loop only; `seed` draws its
+    random cuts and the starting point set of `solve_u_bar` on a smooth
+    body.  The central path itself is deterministic."""
+
     tol_feas: float = 1e-8
     tol_obj: float = 1e-9
     max_cuts: int = 2000
@@ -112,12 +100,15 @@ class SolveReport:
     """Outcome of `solve_u`.
 
     Ellipsoidal bodies are solved in closed form: `cuts` are the contacts
-    `contact_points` finds and `gap` is 0.  Facet-form bodies are solved
-    by the dual: `cuts` holds the boundary point along Q_F^{-1} h_j for
-    each facet h_j, `gap` is the final duality gap and `lp_iterations` is
-    0.  Other bodies run the cutting-plane loop: `cuts` are its
-    boundary-point cuts, `gap` is None and `lp_iterations` counts the LP
-    solves over all restarts.
+    `contact_points` finds and `gap` is 0.  Facet-form bodies run the
+    inscribed central path: `cuts` holds the boundary point along
+    Q_F^{-1} h_j for each facet h_j, `lp_iterations` is 0, and `gap`
+    bounds the relative excess of n J^2 over the optimum,
+    (1 + path gap)(1 + r) - 1 with r the rescale that made the form
+    contained (0 if it was); it is None if cfg.max_cuts ran out before
+    the first center.  Other bodies run the cutting-plane loop: `cuts`
+    are its boundary-point cuts, `gap` is None and `lp_iterations` counts
+    the LP solves over all restarts.
     """
 
     minimizer: Ellipsoid
@@ -158,137 +149,6 @@ class JohnReport:
 class IterateReport:
     trajectory: list
     fixed_point_reached: bool
-
-
-# --------------------------------------------------------------------------
-# Facet dual.  The state at weights mu comes from the SVD of
-# diag(sqrt(mu)) G, not from an eigendecomposition of N = G^T diag(mu) G,
-# so the singular values s (with N = V diag(s^2) V^T) keep their accuracy
-# on bodies that are long and thin relative to E.
-
-@dataclass(frozen=True)
-class _DualState:
-    s: np.ndarray  # singular values, the eigenvalues of N^{1/2}
-    vt: np.ndarray  # V^T
-    gt: np.ndarray  # G V
-    omega: np.ndarray  # g_j^T N^{-1/2} g_j
-    trace: float  # tr N^{1/2}
-    gap: float
-
-
-def _dual_state(g, mu) -> _DualState:
-    _, s, vt = np.linalg.svd(np.sqrt(mu)[:, None] * g, full_matrices=False)
-    gt = g @ vt.T
-    with np.errstate(divide="ignore"):
-        omega = np.sum(gt**2 / s, axis=1)
-    trace = float(np.sum(s))
-    return _DualState(s, vt, gt, omega, trace, float(np.max(omega) / trace - 1.0))
-
-
-def _newton_target(mu, st: _DualState):
-    """Weights on the simplex after one Newton step on the concave function
-    f(nu) = 2 tr N(nu)^{1/2} - sum(nu) at nu = (tr N^{1/2})^2 mu, the
-    point of the ray through mu where f is largest.  The nonnegative
-    quadratic model of f picks the support; on it the step is solved
-    directly, so its accuracy is relative to the step, not to nu."""
-    t = st.trace
-    nu = mu * t * t
-    sn = t * st.s  # singular values at nu
-    a, b = np.triu_indices(sn.size)
-    # -Hessian of f = A^T A with A[(a, b), j] = c_ab gt_ja gt_jb, where
-    # c_ab^2 = (2 - [a == b]) / (s_a s_b (s_a + s_b)).
-    coef = np.sqrt(np.where(a == b, 1.0, 2.0) / (sn[a] * sn[b] * (sn[a] + sn[b])))
-    amat = coef[:, None] * (st.gt[:, a] * st.gt[:, b]).T
-    hess = amat.T @ amat
-    grad = st.omega / t - 1.0
-    # max grad.(x - nu) - |A (x - nu)|^2 / 2 over x >= 0, as least squares
-    # min |R x - R^{-T} c| with R^T R = hess (plus a ridge for repeated
-    # facets) and c = grad + hess nu
-    ridged = hess + 1e-12 * np.trace(hess) / mu.size * np.eye(mu.size)
-    r = np.linalg.cholesky(ridged).T
-    x = solve_nnls(list(r.T), np.linalg.solve(r.T, grad + ridged @ nu)).weights
-    sup = np.flatnonzero(x > 0)
-    step = np.linalg.lstsq(hess[np.ix_(sup, sup)], grad[sup], rcond=1e-12)[0]
-    if np.all(nu[sup] + step > 0):
-        x = np.zeros_like(mu)
-        x[sup] = nu[sup] + step
-    return x / np.sum(x)
-
-
-def _newton_step(g, mu, st: _DualState):
-    """Backtrack from the Newton target (keeping _KEEP of mu) until
-    tr N^{1/2} rises, or ties within round-off while the gap falls.
-    Returns (mu, state) or None."""
-    target = _newton_target(mu, st)
-    alpha = 1.0 - _KEEP
-    while alpha > 1e-3:
-        cand = (1.0 - alpha) * mu + alpha * target
-        cst = _dual_state(g, cand)
-        if np.isfinite(cst.gap) and (
-                cst.trace > st.trace
-                or (cst.trace >= st.trace * (1.0 - 1e-15) and cst.gap < st.gap)):
-            return cand, cst
-        alpha *= 0.5
-    return None
-
-
-def _pairwise_step(g, mu, st: _DualState):
-    """Move weight to the most violated facet i from the facet k with the
-    most to gain, mu_k (omega_i - omega_k), as far as tr N^{1/2} rises:
-    its derivative along e_i - e_k is (omega_i - omega_k) / 2, so bisect
-    on that sign.  Returns (mu, state) or None."""
-    i = int(np.argmax(st.omega))
-    k = int(np.argmax(mu * (st.omega[i] - st.omega)))
-    if k == i:
-        return None
-    d = np.zeros_like(mu)
-    d[i], d[k] = 1.0, -1.0
-    lo, hi = 0.0, (1.0 - _KEEP) * mu[k]
-    cst = _dual_state(g, mu + hi * d)
-    if cst.omega[i] >= cst.omega[k]:
-        return mu + hi * d, cst
-    best = None
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        cst = _dual_state(g, mu + mid * d)
-        if cst.omega[i] >= cst.omega[k]:
-            lo, best = mid, (mu + mid * d, cst)
-        else:
-            hi = mid
-    return best
-
-
-def _dual_ascent(g, mu, max_iter):
-    """Raise tr N(mu)^{1/2} over the simplex from the weights mu until the
-    gap reaches _GAP_TOL or max_iter steps are spent.  From gap < 1 on a
-    Newton step is tried first.  Otherwise the multiplicative update
-    moves the weights, or the pairwise step when that raises tr N^{1/2}
-    more: it shifts weight between facets that compete for a thin
-    direction, where the Newton model and the multiplicative update are
-    both slow.  Returns (state, steps)."""
-    st = _dual_state(g, mu)
-    steps = 0
-    while st.gap > _GAP_TOL and steps < max_iter:
-        steps += 1
-        nxt = _newton_step(g, mu, st) if st.gap < 1.0 else None
-        if nxt is None:
-            scaled = mu * st.omega / st.trace
-            nxt = (scaled, _dual_state(g, scaled))
-            pair = _pairwise_step(g, mu, st) if st.gap < 1.0 else None
-            if pair is not None and pair[1].trace > nxt[1].trace:
-                nxt = pair
-        mu, st = nxt
-    return st, steps
-
-
-def _dual_run(facets, e: Ellipsoid, max_iter: int, seed: int):
-    """One dual solve from Dirichlet weights.  Returns (B, gap, status)."""
-    g = np.linalg.solve(e.chol, facets.T).T  # g_j = L^{-1} h_j, Q_E = L L^T
-    mu0 = np.random.default_rng(seed).dirichlet(np.ones(g.shape[0]))
-    st, _ = _dual_ascent(g, mu0, max_iter)
-    c = np.max(st.omega) * (st.vt.T * st.s) @ st.vt
-    status = "optimal" if st.gap <= _GAP_TOL else "max_cuts_reached"
-    return e.chol @ c @ e.chol.T, st.gap, status
 
 
 # --------------------------------------------------------------------------
@@ -594,41 +454,67 @@ def _polish(body, e, b0, cfg):
 
 
 def _finalize(body, e, b, cfg):
-    """Rescale to exact containment and wrap into an ellipsoid."""
+    """Rescale to exact containment and wrap into an ellipsoid.  Returns
+    (ellipsoid, r) where B was multiplied by 1 + r (r = 0 when contained)."""
     margin = contains_ellipsoid(body, make_ellipsoid(b), cfg.tol_feas).worst_margin
+    rescale = 0.0
     if margin < 0:
-        if margin > -1e-3:
-            b = b * (1.0 + (-margin))
-        else:
-            # only reachable on aborted (max-cuts) runs
-            b = b / (1.0 + margin)
-    return make_ellipsoid(b)
+        # 1 / (1 + margin) - 1 is only reachable on aborted (max-cuts) runs
+        rescale = -margin if margin > -1e-3 else -margin / (1.0 + margin)
+        b = b * (1.0 + rescale)
+    return make_ellipsoid(b), rescale
 
 
-def _quadric_report(body: ConvexBody, e: Ellipsoid) -> SolveReport:
+def _report(e, minimizer, status, cuts, lp_iterations, gap, cfg) -> SolveReport:
+    vals = np.einsum("ij,jk,ik->i", cuts, minimizer.q, cuts)
+    active = cuts[np.abs(vals - 1.0) <= 10.0 * cfg.tol_feas]
+    return SolveReport(minimizer=minimizer, j_value=m_ellipsoid(e, minimizer), status=status,
+                       cuts=cuts, active_cuts=active, lp_iterations=lp_iterations, gap=gap)
+
+
+def _quadric_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveReport:
     """B = Q_K for the ellipsoidal body {x : x^T Q_K x <= 1}.  Its
     contacts (`contact_points`: W v_i with W = Q_K^{-1/2} for the
     eigenvectors v_i of W^{-1} Q_E^{-1} W^{-1}, weighted by its
     eigenvalues) certify it and are the cuts."""
     minimizer = make_ellipsoid(body.quadric_form)
     # W Q_K W = I up to round-off, so any tol below 1 keeps every direction
-    cuts = contact_points(body, e, minimizer, 0.5)
-    return SolveReport(minimizer=minimizer, j_value=m_ellipsoid(e, minimizer),
-                       status="optimal", cuts=cuts, active_cuts=cuts, lp_iterations=0,
-                       gap=0.0)
+    return _report(e, minimizer, "optimal", contact_points(body, e, minimizer, 0.5), 0, 0.0, cfg)
+
+
+def _facet_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveReport:
+    """The inscribed central path over the whitened facets g_j = L^{-1} h_j
+    (module docstring), B = L X^{-1} L^T.  An X strictly inside is scaled
+    up until its largest g_j^T X g_j is 1: the slacks the path tracks
+    drift a few units of round-off from those of its factor over the
+    steps, and the scaling only lowers tr X^{-1}.  The gap covers the
+    path's gap and the rescale r of `_finalize`: (1 + gap)(1 + r) - 1.
+    The cuts are the boundary points along Q_F^{-1} h_j."""
+    facets = body.facet_form
+    g = np.linalg.solve(e.chol, facets.T).T
+    end = _central_path(g, cfg.max_cuts, inscribed=True)
+    touch = min(1.0, float(np.sqrt(np.max(np.sum((g @ end.root) ** 2, axis=1)))))
+    half = np.linalg.solve(end.root, e.chol.T) * touch  # R^{-1} L^T, so B = half^T half
+    minimizer, rescale = _finalize(body, e, half.T @ half, cfg)
+    gap = None if end.gap is None else end.gap + rescale + end.gap * rescale
+    done = end.gap is not None and end.gap <= _INSCRIBED_GAP
+    cuts = facets @ minimizer.q_inv
+    cuts /= norm_many(body, cuts)[:, None]
+    return _report(e, minimizer, "optimal" if done else "max_cuts_reached", cuts, 0, gap, cfg)
 
 
 def solve_u(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) -> SolveReport:
     """The inscribed ellipsoid of minimal mean-square gauge over E.
 
-    Ellipsoidal bodies are their own minimizer (closed form, no restart).
-    Bodies with a facet form are solved by the dual (no LP), others by
-    the cutting-plane loop; cfg.max_cuts caps dual steps or LP solves per
-    restart, and box_R applies to the cutting-plane loop only.  The
-    minimizer is unique; the solve is repeated from cfg.restarts
-    randomized seeds (starting weights or cuts) and the results must agree
-    within 1e-4 relative Frobenius distance, else RestartDisagreementError
-    is raised.  The returned ellipsoid is contained in the body within
+    Ellipsoidal bodies are their own minimizer (closed form).  Bodies with
+    a facet form run the inscribed central path once (no LP; it is
+    deterministic, so cfg.restarts and cfg.seed do not apply), others the
+    cutting-plane loop; cfg.max_cuts caps the Newton steps of the path or
+    the LP solves per restart, and box_R applies to the cutting-plane loop
+    only.  The minimizer is unique; the cutting-plane loop is repeated
+    from cfg.restarts randomized seeds and the results must agree within
+    1e-4 relative Frobenius distance, else RestartDisagreementError is
+    raised.  The returned ellipsoid is contained in the body within
     10 * tol_feas.
     """
     if e.dim != body.dim:
@@ -636,22 +522,17 @@ def solve_u(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) ->
     if cfg.max_cuts < 2 * body.dim:
         raise ValueError("max_cuts must be at least 2 * dim")
     if body.quadric_form is not None:
-        return _quadric_report(body, e)
-    facets = body.facet_form
+        return _quadric_report(body, e, cfg)
+    if body.facet_form is not None:
+        return _facet_report(body, e, cfg)
     runs = []
     total_lp = 0
     for r in range(cfg.restarts):
-        seed = cfg.seed + 7919 * r
-        if facets is not None:
-            b, gap, status = _dual_run(facets, e, cfg.max_cuts, seed)
-            points = None
-        else:
-            b, pool, lp_count, status = _cut_loop(body, e, cfg, seed)
-            total_lp += lp_count
-            if status == "optimal":
-                b = _polish(body, e, b, cfg)
-            gap, points = None, pool.points
-        runs.append((_finalize(body, e, b, cfg), points, status, gap))
+        b, pool, lp_count, status = _cut_loop(body, e, cfg, cfg.seed + 7919 * r)
+        total_lp += lp_count
+        if status == "optimal":
+            b = _polish(body, e, b, cfg)
+        runs.append((_finalize(body, e, b, cfg)[0], pool.points, status))
     # uniqueness contract: completed restarts must land on the same form;
     # aborted runs only promise a feasible iterate and are exempt
     done = [run for run in runs if run[2] == "optimal"]
@@ -661,17 +542,9 @@ def solve_u(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) ->
             if d > 1e-4:
                 raise RestartDisagreementError(
                     f"restarts {i} and {j} disagree by {d:.2e} (> 1e-4)")
-    minimizer, points, _, gap = min(runs, key=lambda run: m_ellipsoid(e, run[0]))
-    if facets is not None:
-        points = facets @ minimizer.q_inv
-        points /= norm_many(body, points)[:, None]
-    cuts = np.array(points)
-    vals = np.einsum("ij,jk,ik->i", cuts, minimizer.q, cuts)
-    active = cuts[np.abs(vals - 1.0) <= 10.0 * cfg.tol_feas]
+    minimizer, points, _ = min(runs, key=lambda run: m_ellipsoid(e, run[0]))
     overall = "optimal" if all(run[2] == "optimal" for run in runs) else "max_cuts_reached"
-    return SolveReport(minimizer=minimizer, j_value=m_ellipsoid(e, minimizer),
-                       status=overall, cuts=cuts, active_cuts=active,
-                       lp_iterations=total_lp, gap=gap)
+    return _report(e, minimizer, overall, np.array(points), total_lp, None, cfg)
 
 
 def j_value(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) -> float:
@@ -711,51 +584,79 @@ def iterate_u(body: ConvexBody, e0: Ellipsoid, steps: int,
 
 
 # --------------------------------------------------------------------------
-# Circumscribed problem: the central path of the module docstring.
+# The central path of the module docstring, for both problems.
 
-_PATH_GAP = 1e-12  # relative gap at which the path stops
+_PATH_GAP = 1e-12  # relative gap at which the circumscribed path stops
+# and the inscribed one: a direction that carries a share r of tr X^{-1} is pinned to ~gap / r
+_INSCRIBED_GAP = 1e-16
 _PATH_SHRINK = 0.01  # reduction of t at each center
 _PATH_CENTERED = 1.0  # Newton decrement below which the iterate is a center
 _PATH_SETTLED = 1e-8  # gap of the iterate that fixes the position along a flat face
 
 
-def _path_step(v, root, s, t):
+def _path_step(v, root, s, t, inscribed=False):
     """One Newton step at t on phi = tr X / t + log det X + sum_k log s_k
-    for X = R R^T, in Y with X -> R (I + Y) R^T so that vanishing
-    eigenvalues of X keep their relative accuracy.  With u_k = R^T v_k and
-    a_k = svec(u_k u_k^T) the Hessian I + A^T diag(s^-2) A is inverted by
-    an SVD that resolves weights ~1 / s^2 and 1 alike.  The slacks
-    s_k = 1 - v_k^T X v_k move with the step, s - alpha A y, exactly as
-    their constraints do; recomputed from X, a slack near 1e-13 would keep
-    few digits.  tr X, log det X and s are closed-form in
-    the step length, chosen by a line search on phi.  Returns (root, s,
+    (or, `inscribed`, -tr X^{-1} / t in place of tr X / t) for X = R R^T,
+    in Y with X -> R (I + Y) R^T so that vanishing eigenvalues of X keep
+    their relative accuracy.  With u_k = R^T v_k and a_k = svec(u_k u_k^T)
+    the Hessian D + A^T diag(s^-2) A is inverted by an SVD of
+    diag(1 / s) A D^{-1/2} that resolves weights ~1 / s^2 and D alike.
+    D = I for tr X.  For -tr X^{-1} / t, with M = (R^T R)^{-1}, the
+    gradient gains M / t and D adds Y -> (Y M + M Y) / t, which is
+    diagonal in svec coordinates of the eigenbasis of M, where the system
+    is solved.  The slacks s_k = 1 - v_k^T X v_k move with the step,
+    s - alpha A y, exactly as their constraints do; recomputed from X, a
+    slack near 1e-13 would keep few digits.  tr X (or tr X^{-1} =
+    sum_i m_i / (1 + alpha y_i) with m = diag(V^T M V) for the
+    eigenvectors V of Y), log det X and s are closed-form in the step
+    length, chosen by a line search on phi.  Returns (root, s,
     decrement)."""
     n = root.shape[0]
-    u = v @ root
-    a = _svec_dyads(u)
-    xs = root.T @ root
-    h = _svec(xs / t + np.eye(n)) - a.T @ (1.0 / s)
-    _, sv, vt = np.linalg.svd(a / s[:, None])
+    if inscribed:
+        _, sig, wt = np.linalg.svd(root)  # R^T R = W diag(sig^2) W^T
+        mw = 1.0 / (t * sig * sig)  # M / t in the basis W
+        p, q = _pairs(n)
+        scale = np.sqrt(1.0 + np.concatenate([2.0 * mw, mw[p] + mw[q]]))  # D^{1/2}
+        a = _svec_dyads(v @ (root @ wt.T))
+        h = (_svec(np.diag(mw) + np.eye(n)) - a.T @ (1.0 / s)) / scale
+    else:
+        scale = 1.0
+        a = _svec_dyads(v @ root)
+        xs = root.T @ root
+        h = _svec(xs / t + np.eye(n)) - a.T @ (1.0 / s)
+    # only V is used; a reduced SVD has all of it once m >= n(n+1)/2 (tr X keeps the full one)
+    _, sv, vt = np.linalg.svd(a / s[:, None] / scale,
+                              full_matrices=not inscribed or a.shape[0] < a.shape[1])
     den = np.ones(vt.shape[0])
     den[:sv.size] += sv * sv
-    y = vt.T @ ((vt @ h) / den)
+    z = vt.T @ ((vt @ h) / den)  # D^{1/2} y
+    y = z / scale  # the slacks move by the same y as the form
     ay = a @ y
     ratio = ay / s
-    decrement = float(np.sqrt(y @ y + ratio @ ratio))
+    decrement = float(np.sqrt(z @ z + ratio @ ratio))
     ymat = _unpack(np.concatenate([y[:n], y[n:] / np.sqrt(2.0)]), n, _pairs(n))
-    yvals = np.linalg.eigvalsh(ymat)
-    grow = float((xs * ymat).sum()) / t  # slope of tr X / t along the step
+    if inscribed:
+        yvals, yvecs = np.linalg.eigh(ymat)
+        mv = mw @ yvecs ** 2  # diag(V^T M V) / t
+        ymat = wt.T @ ymat @ wt
+    else:
+        yvals = np.linalg.eigvalsh(ymat)
+        grow = float((xs * ymat).sum()) / t  # slope of tr X / t along the step
+        size, bend = abs(grow), 0.0
     top = max(-yvals[0], ratio.max())  # the step reaches the boundary at 1 / top
     lo, hi = 0.0, 1.0 if top <= 0.99 else 0.99 / top
     alpha = hi
     for _ in range(20):  # safeguarded Newton on the slope of phi, concave along the step
         py, ps = yvals / (1.0 + alpha * yvals), ay / (s - alpha * ay)
+        if inscribed:  # slope of -tr X^{-1} / t, its size and minus its derivative
+            pm = mv * py / (1.0 + alpha * yvals)
+            grow, size, bend = float(pm.sum()), float(np.abs(pm).sum()), 2.0 * float(pm @ py)
         slope = grow + py.sum() - ps.sum()
         if (slope >= 0 and alpha == hi) or abs(slope) <= 1e-9 * (
-                abs(grow) + np.abs(py).sum() + np.abs(ps).sum()):
+                size + np.abs(py).sum() + np.abs(ps).sum()):
             break
         lo, hi = (alpha, hi) if slope > 0 else (lo, alpha)
-        alpha = min(max(alpha + slope / (py @ py + ps @ ps), lo), hi)
+        alpha = min(max(alpha + slope / (py @ py + ps @ ps + bend), lo), hi)
     root = root @ np.linalg.cholesky(np.eye(n) + alpha * ymat)
     return root, s - alpha * ay, decrement
 
@@ -770,10 +671,11 @@ class _PathEnd:
     settled: np.ndarray | None  # X where the gap first fell below _PATH_SETTLED
 
 
-def _central_path(v, max_steps) -> _PathEnd:
+def _central_path(v, max_steps, inscribed=False) -> _PathEnd:
     """Follow the path, lowering t by _PATH_SHRINK at each center (Newton
-    decrement below _PATH_CENTERED), until the gap t (n + m) / tr X is at
-    most _PATH_GAP or max_steps Newton steps are spent.  The start
+    decrement below _PATH_CENTERED), until the gap t (n + m) / tr X (or
+    t (n + m) / tr X^{-1}, `inscribed`) is at most _PATH_GAP (or
+    _INSCRIBED_GAP) or max_steps Newton steps are spent.  The start
     X = (V^T V)^{-1} / (2 max_k h_k) has the shape of the points; their
     leverages h_k are at most 1."""
     m, n = v.shape
@@ -781,19 +683,24 @@ def _central_path(v, max_steps) -> _PathEnd:
     lev = np.sum((v @ root) ** 2, axis=1)
     root *= np.sqrt(0.5 / lev.max())
     s = 1.0 - 0.5 * lev / lev.max()
-    t = float(np.sum(root * root)) / (n + m)
+
+    def objective(root):
+        return float(np.sum(np.linalg.inv(root) ** 2)) if inscribed else float(np.sum(root * root))
+
+    stop = _INSCRIBED_GAP if inscribed else _PATH_GAP
+    t = objective(root) / (n + m)
     gap = settled = None
     steps = 0
     while steps < max_steps:
-        root, s, decrement = _path_step(v, root, s, t)
+        root, s, decrement = _path_step(v, root, s, t, inscribed)
         steps += 1
         if decrement < _PATH_CENTERED:
-            tr = float(np.sum(root * root))
+            tr = objective(root)
             gap = t * (n + m) / tr
             if settled is None and gap <= _PATH_SETTLED:
                 settled = root @ root.T
-            if gap > _PATH_GAP:
-                t = max(_PATH_SHRINK * gap, 0.5 * _PATH_GAP) * tr / (n + m)
+            if gap > stop:
+                t = max(_PATH_SHRINK * gap, 0.5 * stop) * tr / (n + m)
             elif decrement < 0.25:  # and the last center to quadratic accuracy
                 break
     return _PathEnd(root, s, t, gap, steps, settled)

@@ -6,7 +6,7 @@ import ellipfit.solver as solver_module
 from ellipfit.solver import (SolveConfig, _cut_row, _initial_cuts, _obj_vec, _pack,
                             _pairs, _unpack)
 from util import (cross_h, cross_v, cube_h, cube_v_rows, rand_invertible, rand_polytope_h,
-                  rand_spd_ellipsoid, rectangle_h, square_h)
+                  rand_spd_ellipsoid, rectangle_h, square_h, standard_corpus)
 
 BALL2 = ef.unit_ball(2)
 SQRT58 = np.sqrt(5.0 / 8.0)
@@ -372,3 +372,54 @@ def test_solve_u_max_cuts_reports_feasible_iterate():
     assert rep.status == "max_cuts_reached"
     assert ef.contains_ellipsoid(square_h(), rep.minimizer, 10.0 * cfg.tol_feas).contained
     assert rep.j_value >= 1.0 - 1e-9  # cannot beat the true optimum
+
+
+def test_facet_gap_covers_the_rescale(monkeypatch):
+    # random facet polytopes K and their images TK with cond(T) = 1e3: the
+    # reported gap is never negative and covers the rescale r with which
+    # _finalize made the form contained
+    rescales = []
+    finalize = solver_module._finalize
+
+    def recording(*args):
+        out = finalize(*args)
+        rescales.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver_module, "_finalize", recording)
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n = rng.integers(2, 6)
+        extra = rng.integers(1, 9)
+        body = rand_polytope_h(rng, n, n + extra)
+        e = rand_spd_ellipsoid(rng, n, cond=100.0)
+        t = rand_invertible(rng, n, cond=1e3)
+        for k, f in ((body, e), (ef.linear_image(t, body), ef.ellipsoid_linear_image(t, e))):
+            rep = ef.solve_u(k, f)
+            assert rep.status == "optimal" and rep.gap >= 0.0, seed
+            assert rep.gap >= rescales[-1], seed
+
+
+def test_solve_u_rotated_thin_box():
+    # a rotated 1e4 : 3 : 1 box with two redundant facets: its thin direction
+    # carries a tiny share of the objective, which the solve must still pin
+    rng = np.random.default_rng(7)
+    u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    facets = np.vstack([(u * [1e4, 3.0, 1.0]) @ u.T, 0.3 * rng.standard_normal((2, 3))])
+    e = rand_spd_ellipsoid(rng, 3, cond=10.0)
+    body = ef.PolytopeH(facets)
+    rep = ef.solve_u(body, e)
+    assert rep.status == "optimal" and rep.gap <= 1e-14
+    assert ef.verify_u(body, e, rep.minimizer, 1e-6).verdict == ef.VERIFIED
+    assert abs(rep.j_value - 7225.142634559162) <= 1e-10 * 7225.142634559162
+
+
+def test_facet_solves_ignore_seed_and_restarts():
+    # the central path is deterministic: seed and restarts drive the
+    # cutting-plane loop only
+    for name, body, e in standard_corpus():
+        base = ef.solve_u(body, e).minimizer.q
+        for seed in (0, 101, 2002):
+            for restarts in (1, 3):
+                rep = ef.solve_u(body, e, SolveConfig(seed=seed, restarts=restarts))
+                assert np.array_equal(rep.minimizer.q, base), (name, seed, restarts)

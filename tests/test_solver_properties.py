@@ -1,4 +1,4 @@
-"""Property tests of the facet-dual solve against independent routes (the
+"""Property tests of the facet-form solve against independent routes (the
 solver-free certificate check, a redundant representation of the same
 body, and a linear image of the whole instance), and of the circumscribed
 solve against forms that touch the body and against linear images."""
