@@ -5,19 +5,20 @@ mean-square gauge over a reference ellipsoid E, i.e. the form B = Q_F
 minimizing trace(Q_E^{-1} B) subject to containment in the body;
 `solve_u_bar` the circumscribed forms maximizing it.  With Q_E = L L^T
 both run one log-barrier central path (Vandenberghe, Boyd & Wu 1998) on
-a whitened form X under constraints v_k^T X v_k <= 1.  The
-circumscribed path maximizes tr X with B = L X L^T and v_k = L^T w_k
-for boundary points w_k.  The inscribed one, for a facet form
-{x : |h_j . x| <= 1} (facet polytopes, lp balls with p in {1, inf},
-their linear images), minimizes tr X^{-1} = trace(Q_E^{-1} B) with
-B = L X^{-1} L^T and v_j = L^{-1} h_j, as h_j^T Q_F^{-1} h_j =
-v_j^T X v_j.  With slacks s_k = 1 - v_k^T X v_k the center at t
-maximizes tr X (or -tr X^{-1}) + t (log det X + sum_k log s_k); there
-lam_k = t / s_k and Z = t X^{-1} are dual feasible, so the gap is
-t (n + m), relative to tr X (or tr X^{-1}).  The circumscribed path
+a whitened form X under constraints v_k^T X v_k <= 1, with the objective
+tr X^power / power.  The circumscribed path (power 1) maximizes tr X
+with B = L X L^T and v_k = L^T w_k for boundary points w_k.  The
+inscribed one (power -1), for a facet form {x : |h_j . x| <= 1} (facet
+polytopes, lp balls with p in {1, inf}, their linear images), minimizes
+tr X^{-1} = trace(Q_E^{-1} B) with B = L X^{-1} L^T and v_j = L^{-1} h_j,
+as h_j^T Q_F^{-1} h_j = v_j^T X v_j.  With slacks s_k = 1 - v_k^T X v_k
+the center at t maximizes tr X^power / power + t (log det X +
+sum_k log s_k); there lam_k = t / s_k and Z = t X^{-1} are dual feasible,
+so the gap is t (n + m), relative to tr X^power.  The circumscribed path
 stops at 1e-12 and reads attainment and uniqueness off the analytic
 center of the optimal face, which the centers reach as t -> 0; the
-inscribed one, whose minimizer is unique, stops at 1e-16.
+inscribed one, whose minimizer is unique, stops at 1e-16 and reads
+containment off the factor of X it ends with.
 
 An ellipsoidal body {x : x^T Q_K x <= 1} is its own minimizer: every
 inscribed form satisfies B >= Q_K, so B = Q_K in closed form.
@@ -104,9 +105,10 @@ class SolveReport:
     inscribed central path: `cuts` holds the boundary point along
     Q_F^{-1} h_j for each facet h_j, `lp_iterations` is 0, and `gap`
     bounds the relative excess of n J^2 over the optimum,
-    (1 + path gap)(1 + r) - 1 with r the rescale that made the form
-    contained (0 if it was); it is None if cfg.max_cuts ran out before
-    the first center.  Other bodies run the cutting-plane loop: `cuts`
+    (1 + path gap)(1 + r) - 1 with r = max(0, max_j |R^T g_j|^2 - 1) the
+    whitened excess of the factor R the path ended with (g_j = L^{-1} h_j;
+    no float re-check of Q_F runs); it is None if cfg.max_cuts ran out
+    before the first center.  Other bodies run the cutting-plane loop: `cuts`
     are its boundary-point cuts, `gap` is None and `lp_iterations` counts
     the LP solves over all restarts.
     """
@@ -454,15 +456,12 @@ def _polish(body, e, b0, cfg):
 
 
 def _finalize(body, e, b, cfg):
-    """Rescale to exact containment and wrap into an ellipsoid.  Returns
-    (ellipsoid, r) where B was multiplied by 1 + r (r = 0 when contained)."""
+    """Rescale to exact containment and wrap into an ellipsoid."""
     margin = contains_ellipsoid(body, make_ellipsoid(b), cfg.tol_feas).worst_margin
-    rescale = 0.0
     if margin < 0:
         # 1 / (1 + margin) - 1 is only reachable on aborted (max-cuts) runs
-        rescale = -margin if margin > -1e-3 else -margin / (1.0 + margin)
-        b = b * (1.0 + rescale)
-    return make_ellipsoid(b), rescale
+        b = b * (1.0 + (-margin if margin > -1e-3 else -margin / (1.0 + margin)))
+    return make_ellipsoid(b)
 
 
 def _report(e, minimizer, status, cuts, lp_iterations, gap, cfg) -> SolveReport:
@@ -484,20 +483,23 @@ def _quadric_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveRe
 
 def _facet_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveReport:
     """The inscribed central path over the whitened facets g_j = L^{-1} h_j
-    (module docstring), B = L X^{-1} L^T.  An X strictly inside is scaled
-    up until its largest g_j^T X g_j is 1: the slacks the path tracks
-    drift a few units of round-off from those of its factor over the
-    steps, and the scaling only lowers tr X^{-1}.  The gap covers the
-    path's gap and the rescale r of `_finalize`: (1 + gap)(1 + r) - 1.
-    The cuts are the boundary points along Q_F^{-1} h_j."""
+    (module docstring), B = L X^{-1} L^T.  Containment is read from the
+    factor R the path ends with, not from a float check of Q_F, whose
+    condition misreads thin bodies: X is scaled by 1 / (1 + r),
+    r = max_j |R^T g_j|^2 - 1, so its largest g_j^T X g_j is 1.  A form
+    that pokes out (r > 0) is scaled down and the gap covers it,
+    (1 + gap)(1 + r) - 1; one strictly inside is scaled up, which only
+    lowers tr X^{-1}.  The cuts are the boundary points along
+    Q_F^{-1} h_j."""
     facets = body.facet_form
     g = np.linalg.solve(e.chol, facets.T).T
-    end = _central_path(g, cfg.max_cuts, inscribed=True)
-    touch = min(1.0, float(np.sqrt(np.max(np.sum((g @ end.root) ** 2, axis=1)))))
-    half = np.linalg.solve(end.root, e.chol.T) * touch  # R^{-1} L^T, so B = half^T half
-    minimizer, rescale = _finalize(body, e, half.T @ half, cfg)
+    end = _central_path(g, cfg.max_cuts, -1)
+    touch = float(np.max(np.sum((g @ end.root) ** 2, axis=1)))  # 1 + r
+    half = np.linalg.solve(end.root, e.chol.T) * np.sqrt(touch)  # R^{-1} L^T, so B = half^T half
+    minimizer = make_ellipsoid(half.T @ half)
+    rescale = max(0.0, touch - 1.0)
     gap = None if end.gap is None else end.gap + rescale + end.gap * rescale
-    done = end.gap is not None and end.gap <= _INSCRIBED_GAP
+    done = end.gap is not None and end.gap <= _PATH_GAP[-1]
     cuts = facets @ minimizer.q_inv
     cuts /= norm_many(body, cuts)[:, None]
     return _report(e, minimizer, "optimal" if done else "max_cuts_reached", cuts, 0, gap, cfg)
@@ -532,7 +534,7 @@ def solve_u(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) ->
         total_lp += lp_count
         if status == "optimal":
             b = _polish(body, e, b, cfg)
-        runs.append((_finalize(body, e, b, cfg)[0], pool.points, status))
+        runs.append((_finalize(body, e, b, cfg), pool.points, status))
     # uniqueness contract: completed restarts must land on the same form;
     # aborted runs only promise a feasible iterate and are exempt
     done = [run for run in runs if run[2] == "optimal"]
@@ -586,78 +588,74 @@ def iterate_u(body: ConvexBody, e0: Ellipsoid, steps: int,
 # --------------------------------------------------------------------------
 # The central path of the module docstring, for both problems.
 
-_PATH_GAP = 1e-12  # relative gap at which the circumscribed path stops
-# and the inscribed one: a direction that carries a share r of tr X^{-1} is pinned to ~gap / r
-_INSCRIBED_GAP = 1e-16
+# relative gap at which each path stops, by power; a direction that carries
+# a share r of tr X^{-1} is pinned to ~gap / r
+_PATH_GAP = {1: 1e-12, -1: 1e-16}
 _PATH_SHRINK = 0.01  # reduction of t at each center
 _PATH_CENTERED = 1.0  # Newton decrement below which the iterate is a center
 _PATH_SETTLED = 1e-8  # gap of the iterate that fixes the position along a flat face
 
 
-def _path_step(v, root, s, t, inscribed=False):
-    """One Newton step at t on phi = tr X / t + log det X + sum_k log s_k
-    (or, `inscribed`, -tr X^{-1} / t in place of tr X / t) for X = R R^T,
-    in Y with X -> R (I + Y) R^T so that vanishing eigenvalues of X keep
-    their relative accuracy.  With u_k = R^T v_k and a_k = svec(u_k u_k^T)
-    the Hessian D + A^T diag(s^-2) A is inverted by an SVD of
-    diag(1 / s) A D^{-1/2} that resolves weights ~1 / s^2 and D alike.
-    D = I for tr X.  For -tr X^{-1} / t, with M = (R^T R)^{-1}, the
-    gradient gains M / t and D adds Y -> (Y M + M Y) / t, which is
-    diagonal in svec coordinates of the eigenbasis of M, where the system
-    is solved.  The slacks s_k = 1 - v_k^T X v_k move with the step,
-    s - alpha A y, exactly as their constraints do; recomputed from X, a
-    slack near 1e-13 would keep few digits.  tr X (or tr X^{-1} =
-    sum_i m_i / (1 + alpha y_i) with m = diag(V^T M V) for the
-    eigenvectors V of Y), log det X and s are closed-form in the step
-    length, chosen by a line search on phi.  Returns (root, s,
+def _path_step(v, root, s, t, power):
+    """One Newton step at t on phi = tr X^power / (power t) + log det X +
+    sum_k log s_k, X = R R^T (power 1: circumscribed, -1: inscribed), in Y
+    with X -> R (I + Y) R^T so that vanishing eigenvalues of X keep their
+    relative accuracy.  The objective enters only as its gradient G and
+    curvature D - I in an orthonormal frame F of the columns of R: F = I,
+    G = R^T R / t and D = I for power 1; for -1, F is the eigenbasis of
+    R^T R, where G = (R^T R)^{-1} / t and D = 1 + g_i + g_j (svec) are
+    diagonal.  With a_k = svec(u_k u_k^T), u_k = F R^T v_k, the Hessian
+    D + A^T diag(s^-2) A is inverted by an SVD of diag(1 / s) A D^{-1/2},
+    reduced once m >= n(n+1)/2.  The slacks move with the step, s - alpha A y
+    (recomputed from X, one near 1e-13 would keep few digits).  With
+    Y = V diag(y) V^T, e = [y, -A y / s] and m = diag(V^T G V) the slope of
+    phi is sum_i e_i / (1 + alpha e_i) + m_i y_i (1 + alpha y_i)^(power - 1),
+    decreasing; a safeguarded Newton search picks alpha.  R moves to
+    R (I + alpha Y)^{1/2} = R + R W diag((1 + alpha y)^{1/2} - 1) W^T,
+    W = F^T V, whose round-off scales with the step.  Returns (root, s,
     decrement)."""
     n = root.shape[0]
-    if inscribed:
-        _, sig, wt = np.linalg.svd(root)  # R^T R = W diag(sig^2) W^T
-        mw = 1.0 / (t * sig * sig)  # M / t in the basis W
-        p, q = _pairs(n)
+    p, q = _pairs(n)
+    eye = np.eye(n)
+    if power > 0:  # tr X / t
+        frame, basis, grad, scale = eye, root, root.T @ root / t, 1.0
+    else:  # -tr X^{-1} / t
+        _, sig, frame = np.linalg.svd(root)  # R^T R = F^T diag(sig^2) F
+        mw = 1.0 / (t * sig * sig)
+        basis, grad = root @ frame.T, np.diag(mw)
         scale = np.sqrt(1.0 + np.concatenate([2.0 * mw, mw[p] + mw[q]]))  # D^{1/2}
-        a = _svec_dyads(v @ (root @ wt.T))
-        h = (_svec(np.diag(mw) + np.eye(n)) - a.T @ (1.0 / s)) / scale
-    else:
-        scale = 1.0
-        a = _svec_dyads(v @ root)
-        xs = root.T @ root
-        h = _svec(xs / t + np.eye(n)) - a.T @ (1.0 / s)
-    # only V is used; a reduced SVD has all of it once m >= n(n+1)/2 (tr X keeps the full one)
-    _, sv, vt = np.linalg.svd(a / s[:, None] / scale,
-                              full_matrices=not inscribed or a.shape[0] < a.shape[1])
+    a = _svec_dyads(v @ basis)
+    inv = 1.0 / s
+    h = (_svec(grad + eye) - a.T @ inv) / scale
+    _, sv, vt = np.linalg.svd(a * inv[:, None] / scale, full_matrices=a.shape[0] < a.shape[1])
     den = np.ones(vt.shape[0])
     den[:sv.size] += sv * sv
     z = vt.T @ ((vt @ h) / den)  # D^{1/2} y
     y = z / scale  # the slacks move by the same y as the form
     ay = a @ y
-    ratio = ay / s
+    ratio = ay * inv
     decrement = float(np.sqrt(z @ z + ratio @ ratio))
-    ymat = _unpack(np.concatenate([y[:n], y[n:] / np.sqrt(2.0)]), n, _pairs(n))
-    if inscribed:
-        yvals, yvecs = np.linalg.eigh(ymat)
-        mv = mw @ yvecs ** 2  # diag(V^T M V) / t
-        ymat = wt.T @ ymat @ wt
-    else:
-        yvals = np.linalg.eigvalsh(ymat)
-        grow = float((xs * ymat).sum()) / t  # slope of tr X / t along the step
-        size, bend = abs(grow), 0.0
-    top = max(-yvals[0], ratio.max())  # the step reaches the boundary at 1 / top
+    ymat = np.diag(y[:n])
+    ymat[q, p] = y[n:] / np.sqrt(2.0)  # the lower triangle, all that eigh reads
+    yvals, yvecs = np.linalg.eigh(ymat)
+    e = np.concatenate([yvals, -ratio])
+    me = np.zeros(e.size)
+    me[:n] = ((grad @ yvecs) * yvecs).sum(0) * yvals  # m_i y_i, 0 on the slack entries
+    top = -e.min()  # the step reaches the boundary at 1 / top
     lo, hi = 0.0, 1.0 if top <= 0.99 else 0.99 / top
     alpha = hi
-    for _ in range(20):  # safeguarded Newton on the slope of phi, concave along the step
-        py, ps = yvals / (1.0 + alpha * yvals), ay / (s - alpha * ay)
-        if inscribed:  # slope of -tr X^{-1} / t, its size and minus its derivative
-            pm = mv * py / (1.0 + alpha * yvals)
-            grow, size, bend = float(pm.sum()), float(np.abs(pm).sum()), 2.0 * float(pm @ py)
-        slope = grow + py.sum() - ps.sum()
-        if (slope >= 0 and alpha == hi) or abs(slope) <= 1e-9 * (
-                size + np.abs(py).sum() + np.abs(ps).sum()):
+    for _ in range(20):
+        grow = 1.0 + alpha * e
+        pe = e / grow
+        obj = me * grow ** (power - 1)
+        terms = pe + obj  # the slope of phi is their sum
+        slope = terms.sum()
+        if (slope >= 0 and alpha == hi) or abs(slope) <= 1e-9 * np.abs(terms).sum():
             break
         lo, hi = (alpha, hi) if slope > 0 else (lo, alpha)
-        alpha = min(max(alpha + slope / (py @ py + ps @ ps + bend), lo), hi)
-    root = root @ np.linalg.cholesky(np.eye(n) + alpha * ymat)
+        alpha = min(max(alpha + slope / (pe @ pe + (1 - power) * (obj @ pe)), lo), hi)
+    turn = frame.T @ yvecs
+    root = root + (root @ turn) * (alpha * yvals / (1.0 + np.sqrt(1.0 + alpha * yvals))) @ turn.T
     return root, s - alpha * ay, decrement
 
 
@@ -671,36 +669,34 @@ class _PathEnd:
     settled: np.ndarray | None  # X where the gap first fell below _PATH_SETTLED
 
 
-def _central_path(v, max_steps, inscribed=False) -> _PathEnd:
-    """Follow the path, lowering t by _PATH_SHRINK at each center (Newton
-    decrement below _PATH_CENTERED), until the gap t (n + m) / tr X (or
-    t (n + m) / tr X^{-1}, `inscribed`) is at most _PATH_GAP (or
-    _INSCRIBED_GAP) or max_steps Newton steps are spent.  The start
-    X = (V^T V)^{-1} / (2 max_k h_k) has the shape of the points; their
-    leverages h_k are at most 1."""
+def _central_path(v, max_steps, power) -> _PathEnd:
+    """Follow the path of `_path_step`, lowering t by _PATH_SHRINK at each
+    center (Newton decrement below _PATH_CENTERED), until the gap
+    t (n + m) / tr X^power is at most _PATH_GAP[power] or max_steps Newton
+    steps are spent.  The start X = (V^T V)^{-1} / (2 max_k h_k) has the
+    shape of the points; their leverages h_k are at most 1."""
     m, n = v.shape
     root = np.linalg.inv(np.linalg.cholesky(v.T @ v)).T
     lev = np.sum((v @ root) ** 2, axis=1)
     root *= np.sqrt(0.5 / lev.max())
     s = 1.0 - 0.5 * lev / lev.max()
 
-    def objective(root):
-        return float(np.sum(np.linalg.inv(root) ** 2)) if inscribed else float(np.sum(root * root))
+    def objective(root):  # tr X^power = |R^power|_F^2
+        return float(np.sum(np.linalg.matrix_power(root, power) ** 2))
 
-    stop = _INSCRIBED_GAP if inscribed else _PATH_GAP
     t = objective(root) / (n + m)
     gap = settled = None
     steps = 0
     while steps < max_steps:
-        root, s, decrement = _path_step(v, root, s, t, inscribed)
+        root, s, decrement = _path_step(v, root, s, t, power)
         steps += 1
         if decrement < _PATH_CENTERED:
             tr = objective(root)
             gap = t * (n + m) / tr
             if settled is None and gap <= _PATH_SETTLED:
                 settled = root @ root.T
-            if gap > stop:
-                t = max(_PATH_SHRINK * gap, 0.5 * stop) * tr / (n + m)
+            if gap > _PATH_GAP[power]:
+                t = max(_PATH_SHRINK * gap, 0.5 * _PATH_GAP[power]) * tr / (n + m)
             elif decrement < 0.25:  # and the last center to quadratic accuracy
                 break
     return _PathEnd(root, s, t, gap, steps, settled)
@@ -756,9 +752,9 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
     points = body.extreme_points if exact else np.array(_initial_cuts(body, cfg.seed + 17).points)
     while True:
         v = points @ e.chol
-        end = _central_path(v, cfg.max_cuts - steps)
+        end = _central_path(v, cfg.max_cuts - steps, 1)
         steps += end.steps
-        done = end.gap is not None and end.gap <= _PATH_GAP
+        done = end.gap is not None and end.gap <= _PATH_GAP[1]
         x, flat, null = _optimal_face(v, end) if done else (end.root @ end.root.T, None, None)
         worst, point = (1.0, None) if exact else boundary_form_max(body, e.chol @ x @ e.chol.T)
         if not done or worst <= 1.0 + cfg.tol_feas:

@@ -376,17 +376,17 @@ def test_solve_u_max_cuts_reports_feasible_iterate():
 
 def test_facet_gap_covers_the_rescale(monkeypatch):
     # random facet polytopes K and their images TK with cond(T) = 1e3: the
-    # reported gap is never negative and covers the rescale r with which
-    # _finalize made the form contained
-    rescales = []
-    finalize = solver_module._finalize
+    # reported gap is never negative and covers the whitened excess
+    # max_j |R^T g_j|^2 - 1 (g = L^{-1} h) of the path's end, by which the
+    # form was scaled down to containment
+    ends = []
+    path = solver_module._central_path
 
     def recording(*args):
-        out = finalize(*args)
-        rescales.append(out[1])
-        return out
+        ends.append(path(*args))
+        return ends[-1]
 
-    monkeypatch.setattr(solver_module, "_finalize", recording)
+    monkeypatch.setattr(solver_module, "_central_path", recording)
     for seed in range(100):
         rng = np.random.default_rng(seed)
         n = rng.integers(2, 6)
@@ -396,8 +396,10 @@ def test_facet_gap_covers_the_rescale(monkeypatch):
         t = rand_invertible(rng, n, cond=1e3)
         for k, f in ((body, e), (ef.linear_image(t, body), ef.ellipsoid_linear_image(t, e))):
             rep = ef.solve_u(k, f)
+            g = np.linalg.solve(f.chol, k.facet_form.T).T
+            excess = float(np.max(np.sum((g @ ends[-1].root) ** 2, axis=1))) - 1.0
             assert rep.status == "optimal" and rep.gap >= 0.0, seed
-            assert rep.gap >= rescales[-1], seed
+            assert rep.gap >= max(0.0, excess), seed
 
 
 def test_solve_u_rotated_thin_box():
@@ -412,6 +414,67 @@ def test_solve_u_rotated_thin_box():
     assert rep.status == "optimal" and rep.gap <= 1e-14
     assert ef.verify_u(body, e, rep.minimizer, 1e-6).verdict == ef.VERIFIED
     assert abs(rep.j_value - 7225.142634559162) <= 1e-10 * 7225.142634559162
+
+
+def _thin_box(k):
+    # the recipe of test_solve_u_rotated_thin_box, drawn from default_rng(k)
+    rng = np.random.default_rng(k)
+    u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    facets = np.vstack([(u * [1e4, 3.0, 1.0]) @ u.T, 0.3 * rng.standard_normal((2, 3))])
+    return facets, rand_spd_ellipsoid(rng, 3, cond=10.0)
+
+
+@pytest.mark.parametrize("k", range(30))
+def test_thin_box_containment_is_read_from_the_factor(k):
+    # Q_F has condition up to ~1e8 here, so a float check of h^T Q_F^{-1} h
+    # misreads the margin by up to ~1e-9; the whitened excess |R^T g_j|^2 - 1
+    # does not, and an equal body listed in another order with negated
+    # duplicates gets the same J
+    facets, e = _thin_box(k)
+    rep = ef.solve_u(ef.PolytopeH(facets), e)
+    assert rep.status == "optimal" and 0.0 <= rep.gap <= 1e-12
+    twin = ef.solve_u(ef.PolytopeH(np.vstack([facets[::-1], -facets])), e)
+    assert abs(twin.j_value - rep.j_value) <= 1e-11 * rep.j_value
+
+
+def _phi(v, root, t, power):
+    # tr X^power / (power t) + log det X + sum_k log(1 - v_k^T X v_k), X = R R^T
+    x = root @ root.T
+    slacks = 1.0 - np.einsum("ki,ij,kj->k", v, x, v)
+    return (np.trace(np.linalg.matrix_power(x, power)) / (power * t)
+            + np.linalg.slogdet(x)[1] + np.sum(np.log(slacks)))
+
+
+@pytest.mark.parametrize("power", [1, -1])
+def test_path_step_ascends_and_tracks_the_slacks(power):
+    # from the path's own start, at a t below its starting value: every step
+    # keeps X strictly feasible, never lowers phi_t, and moves the tracked
+    # slacks with the factor
+    rng = np.random.default_rng(41)
+    for _ in range(24):
+        n = int(rng.integers(2, 5))
+        v = rng.standard_normal((int(rng.integers(n, n + 9)), n))
+        start = solver_module._central_path(v, 0, power)
+        root, s = start.root, start.s
+        t = start.t * 10.0 ** rng.uniform(-3.0, 0.0)
+        phi = _phi(v, root, t, power)
+        for _ in range(6):
+            root, s, _ = solver_module._path_step(v, root, s, t, power)
+            slacks = 1.0 - np.sum((v @ root) ** 2, axis=1)
+            assert np.linalg.svd(root, compute_uv=False)[-1] > 0.0 and np.all(slacks > 0.0)
+            assert np.max(np.abs(s - slacks)) <= 1e-12
+            nxt = _phi(v, root, t, power)
+            assert nxt >= phi - 1e-12 * abs(phi)
+            phi = nxt
+
+
+def test_solve_u_bar_cube_10():
+    # 512 extreme-point pairs against 55 form entries: the reduced SVD of the
+    # circumscribed step; the round form through the vertices is a maximizer
+    # but not the only one
+    rep = ef.solve_u_bar(ef.LpBall(np.inf, 1.0, 10), ef.unit_ball(10))
+    assert rep.status == "attained" and rep.uniqueness == "multiple_found"
+    assert abs(rep.i_value - 1.0 / np.sqrt(10.0)) <= 1e-12
 
 
 def test_facet_solves_ignore_seed_and_restarts():
