@@ -461,21 +461,28 @@ class ContainmentVerdict:
     method: str
 
 
-def _boundary_extremum(body: ConvexBody, form: np.ndarray, sense: int, form_inv=None,
+def facet_margins(facets: np.ndarray, chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h_j^T Q^{-1} h_j, rows Q^{-1} h_j) for the rows h_j of `facets`,
+    Q = chol chol^T, by two solves with the factor; a formed Q^{-1} would
+    misread the margins of a thin form by about cond(Q) eps."""
+    g = np.linalg.solve(chol, facets.T)
+    return np.sum(g * g, axis=0), np.linalg.solve(chol.T, g).T
+
+
+def _boundary_extremum(body: ConvexBody, form: np.ndarray, sense: int, chol=None,
                        **scan) -> tuple[float, np.ndarray, str]:
     """Min (sense=+1) or max (sense=-1) of x^T Q x over the body boundary,
     as (value, boundary point where it lies, method).  "exact" through
     the facets for the min (1 / max_j h_j^T Q^{-1} h_j at d / max|H d|
-    with d = Q^{-1} h_j, Q^{-1} passed as `form_inv`), the extreme points
-    for the max, or the eigenvalues of a quadric; "sampled" by
-    `boundary_quadratic_scan` otherwise, the point copied out of the
-    kept scan."""
+    with d = Q^{-1} h_j, both from `facet_margins` on the Cholesky factor
+    `chol` of Q), the extreme points for the max, or the eigenvalues of a
+    quadric; "sampled" by `boundary_quadratic_scan` otherwise, the point
+    copied out of the kept scan."""
     facets = body.facet_form
     if sense > 0 and facets is not None:
-        t = np.einsum("ij,jk,ik->i", facets, form_inv, facets)
+        t, d = facet_margins(facets, chol)
         j = int(np.argmax(t))
-        d = form_inv @ facets[j]
-        return float(1.0 / t[j]), d / np.max(np.abs(facets @ d)), "exact"
+        return float(1.0 / t[j]), d[j] / np.max(np.abs(facets @ d[j])), "exact"
     pts = body.extreme_points
     if sense < 0 and pts is not None:
         vals = np.einsum("ij,jk,ik->i", pts, form, pts)
@@ -507,7 +514,7 @@ def contains_ellipsoid(body: ConvexBody, ellipsoid, tol: float, *,
     if ellipsoid.dim != body.dim:
         raise ValueError("dimension mismatch between body and ellipsoid")
     low, witness, method = _boundary_extremum(
-        body, ellipsoid.q, 1, ellipsoid.q_inv, net_size=net_size, starts=starts, rounds=rounds)
+        body, ellipsoid.q, 1, ellipsoid.chol, net_size=net_size, starts=starts, rounds=rounds)
     margin = low - 1.0
     return ContainmentVerdict(bool(margin >= -tol), float(margin), witness, method)
 

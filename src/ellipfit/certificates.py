@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import (ConvexBody, boundary_quadratic_scan, contains_ellipsoid,
-                     fold_merge)
+                     facet_margins, fold_merge)
 from .ellipsoids import Ellipsoid
 from .numerics import inv_sqrt, solve_nnls, sym_eigen
 
@@ -66,12 +66,21 @@ def _svec_dyads(points: np.ndarray) -> np.ndarray:
     return np.hstack([points * points, np.sqrt(2.0) * (points[:, p] * points[:, q])])
 
 
+def _smat(v: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric n x n matrix m with _svec(m) == v."""
+    p, q = _pairs(n)
+    m = np.diag(v[:n]).astype(float)
+    m[p, q] = m[q, p] = v[n:] / np.sqrt(2.0)
+    return m
+
+
 def contact_points(body: ConvexBody, e: Ellipsoid, f: Ellipsoid, tol: float) -> np.ndarray:
     """Points of the body boundary where the inscribed ellipsoid F touches.
 
     For facet forms each facet with h^T Q_F^{-1} h within tol of 1
-    contributes Q_F^{-1} h normalized to the touching point.  On a quadric
-    body {x : x^T Q_K x <= 1}, with W = Q_K^{-1/2}, F touches along the
+    contributes Q_F^{-1} h normalized to the touching point, both read
+    through the factor of Q_F (`bodies.facet_margins`).  On a quadric body
+    {x : x^T Q_K x <= 1}, with W = Q_K^{-1/2}, F touches along the
     span U of the eigenvectors of W Q_F W with eigenvalue within tol of 1;
     the contacts are W u_i for the u_i in U that diagonalize
     W^{-1} Q_E^{-1} W^{-1} there, so they carry the isotropy weights
@@ -84,9 +93,9 @@ def contact_points(body: ConvexBody, e: Ellipsoid, f: Ellipsoid, tol: float) -> 
         raise ValueError("dimension mismatch")
     facets, q_k = body.facet_form, body.quadric_form
     if facets is not None:
-        t = np.einsum("ij,jk,ik->i", facets, f.q_inv, facets)
-        found = [(f.q_inv @ facets[j]) / np.sqrt(t[j])
-                 for j in np.flatnonzero(np.abs(t - 1.0) <= tol)]
+        t, d = facet_margins(facets, f.chol)
+        near = np.abs(t - 1.0) <= tol
+        found = d[near] / np.sqrt(t[near])[:, None]
     elif q_k is not None:
         w = inv_sqrt(q_k)
         vals, vecs = sym_eigen(w @ f.q @ w)

@@ -46,11 +46,22 @@ def cholesky(s: np.ndarray) -> np.ndarray:
     1e-12 * trace(s) / dim, which signals a degenerate or indefinite form.
     """
     a = np.asarray(s, dtype=float)
-    thresh = 1e-12 * np.trace(a) / a.shape[0]
     try:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"not positive definite: {exc}") from exc
+    return _nondegenerate(low, np.trace(a))
+
+
+def factor_cholesky(half: np.ndarray) -> np.ndarray:
+    """Lower-triangular L with L @ L.T == half.T @ half, read off the QR of
+    `half` without rounding the product; degenerate as in `cholesky`."""
+    low = np.linalg.qr(half, mode="r").T
+    return _nondegenerate(low * np.copysign(1.0, np.diag(low)), np.sum(half * half))
+
+
+def _nondegenerate(low: np.ndarray, trace: float) -> np.ndarray:
+    thresh = 1e-12 * trace / low.shape[0]
     pivots = np.diag(low) ** 2
     i = int(np.argmin(pivots))
     if pivots[i] <= thresh:

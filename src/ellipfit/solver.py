@@ -23,9 +23,10 @@ containment off the factor of X it ends with.
 An ellipsoidal body {x : x^T Q_K x <= 1} is its own minimizer: every
 inscribed form satisfies B >= Q_K, so B = Q_K in closed form.
 
-Other bodies run a cutting-plane loop on the n(n+1)/2 free entries of B:
-the semi-infinite constraint family "x^T B x >= 1 on the body boundary"
-is relaxed to finitely many boundary-point cuts:
+Other bodies run a cutting-plane loop on svec(B) (`certificates._svec`,
+the coordinates of the path and the certificate): the semi-infinite
+constraint family "x^T B x >= 1 on the body boundary" is relaxed to
+finitely many boundary-point cuts:
 
 * the LP relaxation (boxed, so always solvable) is solved;
 * an indefinite B gets an eigenvector cut, a boundary point along the
@@ -37,22 +38,23 @@ After convergence a guarded Newton polish solves the contact equations
 (touching points on their facets, tangency, and the weighted-dyad
 identity for the objective gradient) at the points
 `certificates.contact_points` finds, to pin the optimum well below the
-LP feasibility floor, and a final rescale makes containment exact.
+LP feasibility floor, and a final rescale makes containment exact.  Its
+contacts and starting weights come from `certificates.isotropy_certificate`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bodies import (ConvexBody, PolytopeV, body_in_ellipsoid,
                      boundary_form_max, boundary_point, canonical_pair,
                      contains_ellipsoid, linear_image, norm_many, polar)
-from .certificates import _pairs, _svec, _svec_dyads, contact_points
+from .certificates import _pairs, _smat, _svec, _svec_dyads, contact_points, isotropy_certificate
 from .ellipsoids import Ellipsoid, form_distance, m_ellipsoid, make_ellipsoid
-from .numerics import (LpProblem, NotPositiveDefiniteError, cholesky, inv_sqrt,
-                       solve_lp, solve_nnls, sym_eigen)
+from .numerics import (LpProblem, NotPositiveDefiniteError, cholesky, factor_cholesky, inv_sqrt,
+                       solve_lp, sym_eigen)
 
 # Violation floor near the LP solver's own feasibility tolerance; below it
 # further cutting cannot make progress and the polish takes over.
@@ -153,30 +155,6 @@ class IterateReport:
     fixed_point_reached: bool
 
 
-# --------------------------------------------------------------------------
-# Symmetric-form packing: diagonal entries first, then the strict upper
-# triangle (p < q) row by row, as indexed by `_pairs`.
-
-def _pack(m, pairs):
-    return np.concatenate([np.diag(m), m[pairs]])
-
-
-def _unpack(v, n, pairs):
-    b = np.diag(v[:n]).astype(float)
-    b[pairs] = b.T[pairs] = v[n:]
-    return b
-
-
-def _cut_row(x, pairs):
-    p, q = pairs
-    return np.concatenate([x * x, 2.0 * x[p] * x[q]])
-
-
-def _obj_vec(c, pairs):
-    # trace(C B) in packed coordinates.
-    return np.concatenate([np.diag(c), 2.0 * c[pairs]])
-
-
 class _CutPool:
     """Boundary-point cuts with antipodal folding; near-duplicates
     (angular distance < 1e-6) are merged, keeping the newest point."""
@@ -221,8 +199,7 @@ def _initial_cuts(body: ConvexBody, seed: int) -> _CutPool:
 def _cut_loop(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig, seed: int):
     """One cutting-plane run.  Returns (B, pool, lp_count, status)."""
     n = body.dim
-    pairs = _pairs(n)
-    obj = _obj_vec(e.q_inv, pairs)
+    obj = _svec(e.q_inv)  # trace(Q_E^{-1} B) = obj . _svec(B)
     pool = _initial_cuts(body, seed)
     floor = max(cfg.tol_feas, _LP_FLOOR)
     prev_obj = None
@@ -231,10 +208,10 @@ def _cut_loop(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig, seed: int):
     status = "max_cuts_reached"
     lp_count = 0
     while lp_count < cfg.max_cuts:
-        rows = tuple((_cut_row(x, pairs), 1.0) for x in pool.points)
+        rows = tuple((row, 1.0) for row in _svec_dyads(np.array(pool.points)))
         sol = solve_lp(LpProblem(obj, rows, cfg.box_R))
         lp_count += 1
-        b = _unpack(sol.x, n, pairs)
+        b = _smat(sol.x, n)
         try:
             cholesky(b)
         except NotPositiveDefiniteError:
@@ -338,23 +315,17 @@ def _collect_contacts(body, e, b0, cfg):
     return contacts
 
 
-def _kkt_residual(z, n, pairs, c_mat, contacts):
-    m = n + pairs[0].size
-    s = len(contacts)
-    b = _unpack(z[:m], n, pairs)
+def _kkt_residual(z, n, c_mat, contacts):
+    pos = n * (n + 1) // 2
+    b = _smat(z[:pos], n)
     xs = []
-    pos = m
     for kind, x0, _ in contacts:
         if kind == "frozen":
             xs.append(x0)
         else:
             xs.append(z[pos:pos + n])
             pos += n
-    lam = z[pos:pos + s]
-    acc = c_mat.copy()
-    for lj, xj in zip(lam, xs):
-        acc -= lj * np.outer(xj, xj)
-    parts = [_pack(acc, pairs)]
+    parts = [_svec(c_mat) - z[pos:] @ _svec_dyads(np.array(xs))]
     for (kind, _, payload), xj in zip(contacts, xs):
         if kind == "plane":
             parts.append(b @ xj - payload)
@@ -368,19 +339,16 @@ def _kkt_residual(z, n, pairs, c_mat, contacts):
     return np.concatenate(parts)
 
 
-def _newton_contacts(c_mat, b0, contacts, pairs):
+def _newton_contacts(e, b0, contacts):
     n = b0.shape[0]
-    m = n + pairs[0].size
-    s = len(contacts)
-    dyads = [np.outer(x, x) for _, x, _ in contacts]
-    lam0 = solve_nnls([_pack(d, pairs) for d in dyads], _pack(c_mat, pairs)).weights
-    z = np.concatenate([_pack(b0, pairs)]
+    lam0 = isotropy_certificate(e, [x for _, x, _ in contacts]).weights
+    z = np.concatenate([_svec(b0)]
                        + [x for kind, x, _ in contacts if kind != "frozen"]
                        + [lam0])
-    scale = 1.0 + np.linalg.norm(c_mat)
+    scale = 1.0 + np.linalg.norm(e.q_inv)
 
     def res(zz):
-        return _kkt_residual(zz, n, pairs, c_mat, contacts)
+        return _kkt_residual(zz, n, e.q_inv, contacts)
 
     r = res(z)
     for _ in range(15):
@@ -407,27 +375,23 @@ def _newton_contacts(c_mat, b0, contacts, pairs):
             break
     if np.max(np.abs(r)) > 1e-8 * scale:
         return None
-    b1 = _unpack(z[:m], n, pairs)
-    lam = z[-s:] if s else np.empty(0)
-    return b1, lam
+    return _smat(z[:n * (n + 1) // 2], n), z[-len(contacts):]
 
 
 def _polish(body, e, b0, cfg):
-    pairs = _pairs(body.dim)
     contacts = _collect_contacts(body, e, b0, cfg)
     n = body.dim
     if len(contacts) > n:
         # flat boundaries put whole arcs of near-contacts inside the window;
         # the nonnegative fit of Q_E^{-1} picks the carrying subset and the
         # Newton step relocates those points exactly
-        dyads = [_pack(np.outer(x, x), pairs) for _, x, _ in contacts]
-        w0 = solve_nnls(dyads, _pack(e.q_inv, pairs)).weights
+        w0 = isotropy_certificate(e, [x for _, x, _ in contacts]).weights
         if np.max(w0) > 0:
             keep = [c for c, w in zip(contacts, w0) if w > 1e-12 * np.max(w0)]
             if len(keep) >= n:
                 contacts = keep
     while len(contacts) >= n:
-        out = _newton_contacts(e.q_inv, b0, contacts, pairs)
+        out = _newton_contacts(e, b0, contacts)
         if out is None:
             return b0
         b1, lam = out
@@ -489,14 +453,16 @@ def _facet_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveRepo
     r = max_j |R^T g_j|^2 - 1, so its largest g_j^T X g_j is 1.  A form
     that pokes out (r > 0) is scaled down and the gap covers it,
     (1 + gap)(1 + r) - 1; one strictly inside is scaled up, which only
-    lowers tr X^{-1}.  The cuts are the boundary points along
+    lowers tr X^{-1}.  The minimizer's Cholesky factor is read off
+    half = R^{-1} L^T, not off the rounded Q_F, so facet checks of it read
+    the path's margins.  The cuts are the boundary points along
     Q_F^{-1} h_j."""
     facets = body.facet_form
     g = np.linalg.solve(e.chol, facets.T).T
     end = _central_path(g, cfg.max_cuts, -1)
     touch = float(np.max(np.sum((g @ end.root) ** 2, axis=1)))  # 1 + r
     half = np.linalg.solve(end.root, e.chol.T) * np.sqrt(touch)  # R^{-1} L^T, so B = half^T half
-    minimizer = make_ellipsoid(half.T @ half)
+    minimizer = replace(make_ellipsoid(half.T @ half), chol=factor_cholesky(half))
     rescale = max(0.0, touch - 1.0)
     gap = None if end.gap is None else end.gap + rescale + end.gap * rescale
     done = end.gap is not None and end.gap <= _PATH_GAP[-1]
@@ -635,9 +601,7 @@ def _path_step(v, root, s, t, power):
     ay = a @ y
     ratio = ay * inv
     decrement = float(np.sqrt(z @ z + ratio @ ratio))
-    ymat = np.diag(y[:n])
-    ymat[q, p] = y[n:] / np.sqrt(2.0)  # the lower triangle, all that eigh reads
-    yvals, yvecs = np.linalg.eigh(ymat)
+    yvals, yvecs = np.linalg.eigh(_smat(y, n))
     e = np.concatenate([yvals, -ratio])
     me = np.zeros(e.size)
     me[:n] = ((grad @ yvecs) * yvecs).sum(0) * yvals  # m_i y_i, 0 on the slack entries
@@ -703,25 +667,25 @@ def _central_path(v, max_steps, power) -> _PathEnd:
 
 
 def _optimal_face(v, end: _PathEnd):
-    """(X, flat, null): `flat` spans (rows, `_pack` coordinates) the D with
-    tr D = 0 and v_k^T D v_k = 0 where s_k^2 <= t / tr X; `null` has as
+    """(X, flat, null): `flat` spans (orthonormal rows in `_svec`
+    coordinates) the D with tr D = 0 and v_k^T D v_k = 0 where
+    s_k^2 <= t / tr X; `null` has as
     columns the eigenvectors of X with eigenvalue x^2 <= t tr X, smallest
     x first, or is None if there are none.  A positive definite X takes
     its part along `flat` (which moves neither tr X nor an active
-    constraint) from the settled iterate, as far as the inactive points
-    allow."""
+    constraint) from the settled iterate, projected in the Frobenius
+    metric, as far as the inactive points allow."""
     n = end.root.shape[0]
     x = end.root @ end.root.T
     active = v[end.s ** 2 <= end.t / np.trace(x)]
-    rows = np.array([_obj_vec(np.eye(n), _pairs(n))] + [_cut_row(w, _pairs(n)) for w in active])
-    _, sv, vt = np.linalg.svd(rows)
+    _, sv, vt = np.linalg.svd(np.vstack([_svec(np.eye(n)), _svec_dyads(active)]))
     flat = vt[int(np.sum(sv > 1e-9 * sv[0])):]
     left, roots, _ = np.linalg.svd(end.root)
     null = roots ** 4 <= end.t * np.trace(x)
     if null[-1]:
         return x, flat, left[:, null][:, ::-1]
     if flat.size and end.settled is not None:
-        d = _unpack(flat.T @ (flat @ _pack(end.settled - x, _pairs(n))), n, _pairs(n))
+        d = _smat(flat.T @ (flat @ _svec(end.settled - x)), n)
         rise = np.einsum("ki,ij,kj->k", v, d, v)  # short of any inactive point it would cross
         x = x + min(1.0, np.min(end.s[rise > 0] / rise[rise > 0], initial=np.inf)) * d
     return x, flat, None
@@ -774,7 +738,7 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
         return DualReport(status="non_attained", **report)
     report["maximizer"] = make_ellipsoid(e.chol @ x @ e.chol.T)
     if flat.size:
-        d = _unpack(flat[0], n, _pairs(n))
+        d = _smat(flat[0], n)
         w = inv_sqrt(x)
         eps = 1.0 / np.max(np.abs(np.linalg.eigvalsh(w @ d @ w)))
         growth = np.einsum("ki,ij,kj->k", v, d, v)

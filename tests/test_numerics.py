@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ellipfit.numerics import (InfeasibleError, LpProblem,
-                               NotPositiveDefiniteError, cholesky, solve_lp,
+                               NotPositiveDefiniteError, cholesky, factor_cholesky, solve_lp,
                                solve_nnls, sym_eigen, sym_matrix)
 
 
@@ -44,6 +44,21 @@ def test_cholesky_random_spd_roundtrip():
         err = np.linalg.norm(low @ low.T - s)
         assert err <= 1e-10 * (1.0 + np.linalg.norm(s))
         assert np.allclose(np.triu(low, 1), 0.0)
+
+
+def test_factor_cholesky_matches_cholesky_of_the_product():
+    # the factor of half^T half read off the QR of half: same lower
+    # triangle with a positive diagonal, and the same degeneracy test
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        n = rng.integers(1, 7)
+        half = rng.standard_normal((n, n))
+        low = factor_cholesky(half)
+        assert np.allclose(np.triu(low, 1), 0.0) and np.all(np.diag(low) > 0.0)
+        assert np.allclose(low, cholesky(half.T @ half), rtol=0.0,
+                           atol=1e-10 * np.linalg.norm(half))
+    with pytest.raises(NotPositiveDefiniteError):
+        factor_cholesky(np.diag([1.0, 1e-7]))  # pivot 1e-14, below 1e-12 * trace / dim
 
 
 def test_sym_eigen_diagonal():

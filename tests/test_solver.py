@@ -3,8 +3,8 @@ import pytest
 
 import ellipfit as ef
 import ellipfit.solver as solver_module
-from ellipfit.solver import (SolveConfig, _cut_row, _initial_cuts, _obj_vec, _pack,
-                            _pairs, _unpack)
+from ellipfit.certificates import _smat, _svec, _svec_dyads
+from ellipfit.solver import SolveConfig, _initial_cuts
 from util import (cross_h, cross_v, cube_h, cube_v_rows, rand_invertible, rand_polytope_h,
                   rand_spd_ellipsoid, rectangle_h, square_h, standard_corpus)
 
@@ -58,22 +58,16 @@ def test_initial_cuts_lie_on_the_boundary():
         assert np.all(np.abs(gauges - 1.0) <= 1e-7)
 
 
-def test_packing_matches_the_pairwise_loop():
-    # LP rows and packed forms must stay bit-identical to the (p < q) loop
+def test_svec_coordinates_carry_the_lp_identities():
+    # the cut-loop LP, the polish and the face analysis rely on these
     rng = np.random.default_rng(14)
     for n in range(1, 6):
-        pairs = _pairs(n)
-        loop = [(p, q) for p in range(n) for q in range(p + 1, n)]
-        x = rng.standard_normal(n)
-        m = rng.standard_normal((n, n))
-        m = m + m.T
-        assert np.array_equal(_cut_row(x, pairs), np.concatenate(
-            [x * x, [2.0 * x[p] * x[q] for p, q in loop]]))
-        assert np.array_equal(_pack(m, pairs), np.concatenate(
-            [np.diag(m), [m[p, q] for p, q in loop]]))
-        assert np.array_equal(_obj_vec(m, pairs), np.concatenate(
-            [np.diag(m), [2.0 * m[p, q] for p, q in loop]]))
-        assert np.array_equal(_unpack(_pack(m, pairs), n, pairs), m)
+        x = rng.standard_normal((3, n))
+        m, b, c = (a + a.T for a in rng.standard_normal((3, n, n)))
+        assert np.allclose(_smat(_svec(m), n), m, rtol=0.0, atol=1e-15 * np.abs(m).max())
+        assert np.allclose(_svec_dyads(x) @ _svec(b), np.einsum("ki,ij,kj->k", x, b, x),
+                           rtol=1e-13, atol=1e-13)
+        assert np.isclose(_svec(c) @ _svec(b), np.trace(c @ b), rtol=1e-13, atol=1e-13)
 
 
 def test_solve_u_rejects_dimension_mismatch():
@@ -321,10 +315,10 @@ def test_solve_u_smooth_ball_bodies():
     # minimizer over the round reference must be a round ball itself
     rep = ef.solve_u(ef.LpBall(4, 1.0, 2), BALL2)
     assert np.linalg.norm(rep.minimizer.q - np.eye(2)) < 1e-8
-    assert abs(rep.j_value - 1.0) < 1e-9
+    assert abs(rep.j_value - 1.0) <= 1e-12
     rep = ef.solve_u(ef.LpBall(1.5, 1.0, 2), BALL2)
     assert np.linalg.norm(rep.minimizer.q - 2.0 ** (1.0 / 3.0) * np.eye(2)) < 1e-6
-    assert abs(rep.j_value - 2.0 ** (1.0 / 6.0)) < 1e-7
+    assert abs(rep.j_value - 2.0 ** (1.0 / 6.0)) <= 1e-12
 
 
 def test_solve_u_ellipsoidal_body_closed_form():
@@ -428,11 +422,13 @@ def _thin_box(k):
 def test_thin_box_containment_is_read_from_the_factor(k):
     # Q_F has condition up to ~1e8 here, so a float check of h^T Q_F^{-1} h
     # misreads the margin by up to ~1e-9; the whitened excess |R^T g_j|^2 - 1
-    # does not, and an equal body listed in another order with negated
-    # duplicates gets the same J
+    # does not, nor does a check through the minimizer's own factor, and an
+    # equal body listed in another order with negated duplicates gets the
+    # same J
     facets, e = _thin_box(k)
     rep = ef.solve_u(ef.PolytopeH(facets), e)
     assert rep.status == "optimal" and 0.0 <= rep.gap <= 1e-12
+    assert ef.contains_ellipsoid(ef.PolytopeH(facets), rep.minimizer, 1e-12).contained
     twin = ef.solve_u(ef.PolytopeH(np.vstack([facets[::-1], -facets])), e)
     assert abs(twin.j_value - rep.j_value) <= 1e-11 * rep.j_value
 
