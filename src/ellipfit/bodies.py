@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .numerics import LpProblem, inv_sqrt, solve_lp, sym_eigen
 
@@ -152,6 +150,10 @@ class PolytopeV(ConvexBody):
 
     def norm_many(self, pts):
         # One block-diagonal LP: each block solves min sum(z) s.t. [W^T -W^T] z = x.
+        # scipy is imported here, so a process that evaluates no vertex gauge never loads it.
+        from scipy import sparse
+        from scipy.optimize import linprog
+
         k = pts.shape[0]
         a = self.generators.T
         n, m = a.shape

@@ -4,17 +4,19 @@ and inverse square root, a bounded linear-program solver and nonnegative
 least squares.
 
 Everything operates on plain float ndarrays at desk scale (matrix order
-<= ~20).  All kernels are deterministic: Cholesky and the eigensolver are
-LAPACK through numpy.linalg, and the LP/NNLS backends (HiGHS and
-Lawson-Hanson via scipy) are single-threaded and reproducible.
+<= ~20).  All kernels are deterministic: Cholesky, the eigensolver and the
+least-squares solves inside nonnegative least squares (Lawson-Hanson,
+written here in numpy) are LAPACK through numpy.linalg, and the LP backend
+is scipy's HiGHS, single-threaded and reproducible.  scipy is imported
+only inside `solve_lp`, so a process that runs no LP never loads it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _opt
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -137,17 +139,19 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     relative; `active` lists constraints tight at the solution and
     `box_active` the variables sitting on the box.
     """
+    from scipy.optimize import linprog
+
     c = problem.objective
     k = c.size
     bounds = [(-problem.box, problem.box)] * k
     if problem.constraints:
         a = np.vstack([row for row, _ in problem.constraints])
         b = np.array([rhs for _, rhs in problem.constraints])
-        res = _opt.linprog(c, A_ub=-a, b_ub=-b, bounds=bounds, method="highs",
-                           options=_HIGHS_OPTS)
+        res = linprog(c, A_ub=-a, b_ub=-b, bounds=bounds, method="highs",
+                      options=_HIGHS_OPTS)
     else:
         a = b = None
-        res = _opt.linprog(c, bounds=bounds, method="highs", options=_HIGHS_OPTS)
+        res = linprog(c, bounds=bounds, method="highs", options=_HIGHS_OPTS)
     if res.status == 2:
         raise InfeasibleError("no feasible point inside the box")
     if res.status != 0:
@@ -172,23 +176,109 @@ class NnlsSolution:
     support: tuple[int, ...]
 
 
-def solve_nnls(columns, target) -> NnlsSolution:
-    """Least squares over the nonnegative orthant (Lawson-Hanson).
+# The normal equations G x = A^T b, G = A^T A, serve while cond(G) = cond(A)^2 <= 1e6, read off the
+# bound |G|_F |G^-1|_F >= cond(G); past cond(G) = 1e2 one step of refinement keeps the residual at
+# round-off.
+_GRAM_COND, _GRAM_REFINE = 1e6, 1e2
 
-    `columns` is a nonempty sequence of equal-length vectors; returns the
-    weights, the residual 2-norm and the support (indices of positive
-    weights).
+
+def solve_nnls(columns, target) -> NnlsSolution:
+    """Least squares over the nonnegative orthant (Lawson & Hanson, *Solving
+    Least Squares Problems*, 1974, ch. 23).
+
+    `columns` is a (k, d) array whose rows are the k columns, or a nonempty
+    sequence of k equal-length vectors; returns the weights, the residual
+    2-norm and the support (indices of positive weights).  Raises
+    NoConvergenceError after max(300, 30 k) least-squares solves.
+
+    When the columns are well conditioned and their least-squares answer is
+    nonnegative, that answer is the unique minimizer and is returned at once.
+    Otherwise the active-set loop starts from the empty passive set and adds
+    one column at a time, so the support is the one Lawson-Hanson finds.
     """
-    cols = [np.asarray(col, dtype=float) for col in columns]
-    if not cols:
-        raise ValueError("columns must be nonempty")
-    length = cols[0].size
-    if any(col.size != length for col in cols):
-        raise ValueError("columns must all have the same length")
-    a = np.column_stack(cols)
+    try:
+        a = np.asarray(columns, dtype=float)
+    except ValueError as exc:
+        raise ValueError("columns must all have the same length") from exc
+    if a.ndim != 2 or a.shape[0] == 0:
+        raise ValueError("columns must be a nonempty sequence of vectors")
     b = np.asarray(target, dtype=float)
-    if b.size != length:
+    if b.shape != (a.shape[1],):
         raise ValueError("target length does not match columns")
-    w, rnorm = _opt.nnls(a, b, maxiter=max(300, 30 * len(cols)))
-    support = tuple(int(i) for i in np.flatnonzero(w > 0))
-    return NnlsSolution(weights=w, residual=float(rnorm), support=support)
+    if not (math.isfinite(np.vdot(a, a)) and math.isfinite(b @ b)):
+        raise ValueError("columns and target must be finite")
+    x = _least_squares(a, b)
+    if x is None or min(x.tolist()) < 0:
+        x = _lawson_hanson(a, b, max(300, 30 * a.shape[0]))
+    r = b - x @ a
+    return NnlsSolution(weights=x, residual=math.sqrt(r @ r),
+                        support=tuple(i for i, w in enumerate(x.tolist()) if w > 0))
+
+
+def _least_squares(a, b):
+    """argmin_x |x @ a - b| from the normal equations, or None unless the
+    bound shows the rows of `a` independent with condition number <= 1e3."""
+    g = a @ a.T
+    try:
+        g_inv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        return None
+    bound = np.vdot(g, g) * np.vdot(g_inv, g_inv)
+    if not bound <= _GRAM_COND**2:
+        return None
+    x = g_inv @ (a @ b)
+    if bound > _GRAM_REFINE**2:
+        x += g_inv @ (a @ (b - x @ a))
+    return x
+
+
+def _lawson_hanson(a, b, maxiter):
+    """Weights of the columns (rows of `a`) by Lawson-Hanson's active-set loop
+    from the empty passive set, in at most `maxiter` least-squares solves."""
+    k = a.shape[0]
+    tol = 10.0 * np.finfo(float).eps * max(a.shape) * math.sqrt(np.vdot(a, a) * (b @ b))
+    cols, weights = [], []  # the passive set in entry order, and its weights
+    rejected = set()  # columns turned away since the weights last moved
+    grad = (a @ b).tolist()
+    solves = 0
+
+    def solve(trial):
+        """Least-squares weights on the columns `trial`, and whether they are independent."""
+        nonlocal solves
+        solves += 1
+        if solves > maxiter:
+            raise NoConvergenceError(f"nonnegative least squares took {maxiter} solves")
+        sub = a[trial]
+        s = _least_squares(sub, b)
+        if s is not None:
+            return s.tolist(), True
+        s, _, rank, _ = np.linalg.lstsq(sub.T, b, rcond=None)
+        return s.tolist(), rank == len(trial)
+
+    while True:
+        skip = rejected.union(cols)
+        j = max((i for i in range(k) if i not in skip and grad[i] > tol),
+                key=grad.__getitem__, default=None)
+        if j is None:
+            break
+        trial = cols + [j]
+        s, independent = solve(trial)
+        if not independent or s[-1] <= 0:
+            # Lawson-Hanson's column test: j adds no direction or takes no positive weight
+            rejected.add(j)
+            continue
+        x = weights + [0.0]
+        while min(s) <= 0:
+            # move from x toward s until the first weight reaches zero, and drop it
+            alpha, drop = min((xi / (xi - si), p) for p, (xi, si) in enumerate(zip(x, s)) if si <= 0)
+            x = [xi + alpha * (si - xi) for xi, si in zip(x, s)]
+            x[drop] = 0.0
+            trial = [c for c, xi in zip(trial, x) if xi > 0]
+            x = [xi for xi in x if xi > 0]
+            s, _ = solve(trial)
+        cols, weights = trial, s
+        rejected.clear()
+        grad = (a @ (b - np.array(weights) @ a[cols])).tolist()
+    x = np.zeros(k)
+    x[cols] = weights
+    return x

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,15 @@ def files(tmp_path):
                          {"dim": 2, "Q": [[0.25 / 1.01**2, 0], [0, 1 / 1.01**2]]}),
         "grid": dump("grid.json", {"axis_steps": 40, "angle_steps": 30,
                                    "refine_rounds": 2, "boundary_samples": 512}),
+        # an ellipsoidal image of the unit 3-ball and its own form: exact containment and
+        # closed-form contacts
+        "image": dump("image.json", {"dim": 3, "type": "linear_image",
+                                     "matrix": [[1, 1, 0], [0, 2, 0], [0, 0, 1]],
+                                     "inner": {"dim": 3, "type": "lp_ball", "p": 2, "radius": 1}}),
+        "own": dump("own.json", {"dim": 3, "Q": [[1, -0.5, 0], [-0.5, 0.5, 0], [0, 0, 1]]}),
+        "ball3": dump("ball3.json", {"dim": 3, "Q": np.eye(3).tolist()}),
+        # no facet form and no quadric, so its solve runs the cutting-plane LP
+        "l15": dump("l15.json", {"dim": 2, "type": "lp_ball", "p": 1.5, "radius": 1}),
         "dir": tmp_path,
     }
 
@@ -155,3 +168,46 @@ def test_booleans_are_json_booleans(files, capsys):
     assert main(["iterate", "--body", files["rect"], "--ellipsoid", files["ball"],
                  "--steps", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["fixed_point_reached"] is False
+
+
+_COLD_START = """
+import json, sys
+from ellipfit.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code,
+                  "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def _fresh_cli(args):
+    """Run cli.main(args) in a fresh interpreter: its exit code and the scipy modules it loaded."""
+    src = str(Path(ef.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, *args], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_facet_and_quadric_commands_load_no_scipy(files):
+    runs = {"compute-u": ["compute-u", "--body", files["square"], "--ellipsoid", files["ball"]],
+            "j-value": ["j-value", "--body", files["rect"], "--ellipsoid", files["ball"]],
+            "certify": ["certify", "--body", files["image"], "--ellipsoid", files["ball3"],
+                        "--candidate", files["own"]]}
+    for name, args in runs.items():
+        out = str(files["dir"] / f"cold_{name}.json")
+        assert _fresh_cli(args + ["--out", out]) == {"code": 0, "scipy": []}, name
+    assert _read(str(files["dir"] / "cold_compute-u.json"))["certificate"]["residual"] <= 1e-12
+    cert = _read(str(files["dir"] / "cold_certify.json"))
+    assert cert["verdict"] == "verified" and cert["residual"] <= 1e-12
+
+
+def test_lp_paths_import_highs_on_first_use(files):
+    out = str(files["dir"] / "cold_dual.json")
+    assert _fresh_cli(["dual", "--body", files["narrow"], "--ellipsoid", files["ball"],
+                       "--out", out])["code"] == 0
+    assert _read(out)["status"] == "non_attained"
+    out = str(files["dir"] / "cold_l15.json")
+    run = _fresh_cli(["j-value", "--body", files["l15"], "--ellipsoid", files["ball"], "--out", out])
+    assert run["code"] == 0 and "scipy" in run["scipy"]
+    assert abs(_read(out)["J"] - 2.0 ** (1.0 / 6.0)) <= 1e-12

@@ -2,8 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import nnls as scipy_nnls
 
-from ellipfit.numerics import (InfeasibleError, LpProblem,
+from ellipfit import numerics
+from ellipfit.numerics import (InfeasibleError, LpProblem, NoConvergenceError,
                                NotPositiveDefiniteError, cholesky, factor_cholesky, solve_lp,
                                solve_nnls, sym_eigen, sym_matrix)
 
@@ -205,3 +209,71 @@ def test_solve_nnls_validates_input():
         solve_nnls([], np.array([1.0]))
     with pytest.raises(ValueError):
         solve_nnls([np.array([1.0, 0.0]), np.array([1.0])], np.array([1.0, 0.0]))
+
+
+def _nnls_problem(seed, rows, cols, kind):
+    """A (rows x cols) system: random, small integers (exact ties), with
+    duplicated columns, of lower rank, with a zero target, or consistent
+    with nonnegative weights some of which are zero."""
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        a = rng.integers(-2, 3, (rows, cols)).astype(float)
+    elif kind == "rank_deficient":
+        rank = int(rng.integers(1, max(2, min(rows, cols))))
+        a = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    else:
+        a = rng.standard_normal((rows, cols))
+    if kind == "duplicated":
+        copy = rng.random(cols) < 0.5
+        a[:, copy] = a[:, rng.integers(0, cols, cols)[copy]]
+    if kind == "zero_target":
+        b = np.zeros(rows)
+    elif kind == "consistent":
+        b = a @ (rng.uniform(0.0, 2.0, cols) * (rng.random(cols) < 0.6))
+    else:
+        b = rng.standard_normal(rows)
+    return a, b
+
+
+# the two examples need the refinement step of the normal equations to reach round-off
+@settings(max_examples=300, deadline=None)
+@example(seed=24, rows=6, cols=7, kind="random")
+@example(seed=6425, rows=7, cols=8, kind="consistent")
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 15), cols=st.integers(1, 20),
+       kind=st.sampled_from(["random", "integer", "duplicated", "rank_deficient",
+                             "zero_target", "consistent"]))
+def test_solve_nnls_agrees_with_scipy(seed, rows, cols, kind):
+    a, b = _nnls_problem(seed, rows, cols, kind)
+    sol = solve_nnls(a.T, b)
+    x = sol.weights
+    ref, _ = scipy_nnls(a, b, maxiter=50 * cols)
+    assert np.all(x >= 0.0)
+    r = b - a @ x
+    assert sol.residual == pytest.approx(np.linalg.norm(r), rel=1e-12, abs=1e-15)
+    # scipy's reported rnorm can disagree with its own weights on rank-deficient
+    # input, so its residual is recomputed from the weights
+    assert sol.residual <= np.linalg.norm(b - a @ ref) + 1e-12 * (1.0 + np.linalg.norm(b))
+    # KKT: no column improves the fit, and the support columns are stationary
+    grad = a.T @ r
+    scale = np.linalg.norm(a) * (np.linalg.norm(b) + np.linalg.norm(a) * np.linalg.norm(x))
+    assert np.all(grad <= 1e-10 * scale)
+    assert np.all(np.abs(grad[x > 0]) <= 1e-10 * scale)
+    assert sol.support == tuple(np.flatnonzero(x > 0))
+    # with independent columns the minimizer is unique; where scipy's answer is
+    # strictly complementary, its support is Lawson-Hanson's and must be ours
+    if cols <= rows and np.linalg.matrix_rank(a) == cols and np.any(ref > 0):
+        on = ref > 0
+        ref_grad = a.T @ (b - a @ ref)
+        if ref[on].min() > 1e-6 * ref.max() and np.all(ref_grad[~on] < -1e-6 * scale):
+            assert sol.support == tuple(np.flatnonzero(on))
+
+
+def test_solve_nnls_iteration_cap_raises():
+    # more columns than rows, so the active-set loop runs, and it needs two solves
+    columns = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    target = np.array([1.0, 2.0])
+    assert solve_nnls(columns, target).support == (0, 1)
+    assert np.array_equal(numerics._lawson_hanson(columns, target, 2), [1.0, 2.0, 0.0])
+    with pytest.raises(NoConvergenceError):
+        numerics._lawson_hanson(columns, target, 1)
+    assert issubclass(NoConvergenceError, RuntimeError)
