@@ -205,7 +205,10 @@ class LpBall(ConvexBody):
 
     def support(self, theta) -> float:
         theta = np.asarray(theta, dtype=float)
-        return float(self.radius * np.linalg.norm(theta, ord=self.dual_p))
+        top = float(np.max(np.abs(theta)))  # factored out: |theta_i|^q overflows for p near 1
+        if top == 0.0:
+            return 0.0
+        return float(self.radius * top * np.linalg.norm(theta / top, ord=self.dual_p))
 
     @cached_property
     def facet_form(self):

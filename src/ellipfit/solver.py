@@ -34,30 +34,31 @@ finitely many boundary-point cuts:
 * otherwise the containment oracle either accepts or supplies a violated
   boundary point as the next cut.
 
-After convergence a guarded Newton polish solves the contact equations
-(touching points on their facets, tangency, and the weighted-dyad
-identity for the objective gradient) at the points
-`certificates.contact_points` finds, to pin the optimum well below the
-LP feasibility floor, and a final rescale makes containment exact.  Its
-contacts and starting weights come from `certificates.isotropy_certificate`.
+After convergence a supporting-slab refinement pins the optimum well
+below the LP feasibility floor: the slabs of the body's supporting
+hyperplanes at the contacts `certificates.contact_points` finds bound a
+facet body that contains K, whose minimizer (the inscribed path above)
+touches it at points that, projected onto the boundary of K, are the
+next contacts.  A final rescale makes containment exact.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bodies import (ConvexBody, PolytopeV, body_in_ellipsoid,
+from .bodies import (ConvexBody, PolytopeH, PolytopeV, body_in_ellipsoid,
                      boundary_form_max, boundary_point, canonical_pair,
                      contains_ellipsoid, linear_image, norm_many, polar)
-from .certificates import _pairs, _smat, _svec, _svec_dyads, contact_points, isotropy_certificate
+from .certificates import _pairs, _smat, _svec, _svec_dyads, contact_points
 from .ellipsoids import Ellipsoid, form_distance, m_ellipsoid, make_ellipsoid
 from .numerics import (LpProblem, NotPositiveDefiniteError, cholesky, factor_cholesky, inv_sqrt,
                        solve_lp, sym_eigen)
 
 # Violation floor near the LP solver's own feasibility tolerance; below it
-# further cutting cannot make progress and the polish takes over.
+# further cutting cannot make progress and the refinement takes over.
 _LP_FLOOR = 3e-9
 
 
@@ -230,7 +231,7 @@ def _cut_loop(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig, seed: int):
         obj_val = float(obj @ sol.x)
         if margin < -cfg.tol_feas:
             # Below the LP feasibility floor further cuts only churn;
-            # accept after a few stagnant rounds and let the polish finish.
+            # accept after a few stagnant rounds and let the refinement finish.
             if margin >= -floor:
                 floor_rounds += 1
             else:
@@ -252,17 +253,14 @@ def _cut_loop(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig, seed: int):
 
 
 # --------------------------------------------------------------------------
-# Terminal polish: Newton on the contact equations.  At the optimum each
-# touching point x_j (scaled so that the boundary normal n_j satisfies
-# n_j . x_j = 1) obeys B x_j = n_j, and the weighted contact dyads satisfy
-# sum_j lambda_j x_j x_j^T = Q_E^{-1}.  Solving that system pins the flat
-# directions that the LP relaxation leaves wobbling at the feasibility
-# tolerance.  Guarded: any failure falls back to the unpolished iterate.
-#
-# A contact is a triple (kind, x0, payload):
-#   "plane"  -- payload h, a fixed facet normal with h . x = 1 on the facet
-#   "smooth" -- payload (normal_fn, boundary_fn) for curved boundaries
-#   "frozen" -- point held fixed (vertex-like contact); only its weight moves
+# Supporting-slab refinement.  At the optimum F touches K at its contacts
+# x_j, where it is tangent to K, so F is also the minimizer for the facet
+# body cut out by K's supporting slabs {|h_j . x| <= 1}, h_j . x_j = 1.
+# That body contains K, so its exact minimizer bounds J from below; its own
+# contacts, projected radially onto the boundary of K, are the next x_j.
+
+_REFINE_ROUNDS = 30  # cap on slab rounds; they converge linearly, 2-4x per round on lp balls
+
 
 def _vrep_facet_normal(body, x):
     """Local supporting-facet normal of a 2-d vertex polytope at a boundary
@@ -294,129 +292,34 @@ def _vrep_facet_normal(body, x):
     return h
 
 
-def _collect_contacts(body, e, b0, cfg):
-    """Contact triples for the polish: the scaled normal on a smooth
-    boundary; on a 2-d vertex polytope the supporting facet, or a frozen
-    point at a vertex.  Other bodies get none."""
-    smooth = body.scaled_normal
-    if smooth is None and not (isinstance(body, PolytopeV) and body.dim == 2):
-        return []
-    window = max(1e-3, 100.0 * cfg.tol_feas)
-    points = contact_points(body, e, make_ellipsoid(b0), window)
-    if smooth is not None:
-        def on_boundary(x, _body=body):
-            return _body.norm(x) - 1.0
-
-        return [("smooth", x, (smooth, on_boundary)) for x in points]
-    contacts = []
-    for x in points:
-        h = _vrep_facet_normal(body, x)
-        contacts.append(("frozen", x, None) if h is None else ("plane", x, h))
-    return contacts
-
-
-def _kkt_residual(z, n, c_mat, contacts):
-    pos = n * (n + 1) // 2
-    b = _smat(z[:pos], n)
-    xs = []
-    for kind, x0, _ in contacts:
-        if kind == "frozen":
-            xs.append(x0)
-        else:
-            xs.append(z[pos:pos + n])
-            pos += n
-    parts = [_svec(c_mat) - z[pos:] @ _svec_dyads(np.array(xs))]
-    for (kind, _, payload), xj in zip(contacts, xs):
-        if kind == "plane":
-            parts.append(b @ xj - payload)
-            parts.append([payload @ xj - 1.0])
-        elif kind == "smooth":
-            normal, on_boundary = payload
-            parts.append(b @ xj - normal(xj))
-            parts.append([on_boundary(xj)])
-        else:
-            parts.append([xj @ b @ xj - 1.0])
-    return np.concatenate(parts)
-
-
-def _newton_contacts(e, b0, contacts):
-    n = b0.shape[0]
-    lam0 = isotropy_certificate(e, [x for _, x, _ in contacts]).weights
-    z = np.concatenate([_svec(b0)]
-                       + [x for kind, x, _ in contacts if kind != "frozen"]
-                       + [lam0])
-    scale = 1.0 + np.linalg.norm(e.q_inv)
-
-    def res(zz):
-        return _kkt_residual(zz, n, e.q_inv, contacts)
-
-    r = res(z)
-    for _ in range(15):
-        if np.max(np.abs(r)) <= 1e-13 * scale:
-            break
-        jac = np.empty((r.size, z.size))
-        h = 1e-6
-        for k in range(z.size):
-            zp = z.copy()
-            zp[k] += h
-            zm = z.copy()
-            zm[k] -= h
-            jac[:, k] = (res(zp) - res(zm)) / (2.0 * h)
-        step = np.linalg.lstsq(jac, -r, rcond=None)[0]
-        improved = False
-        for alpha in (1.0, 0.5, 0.25):
-            cand = z + alpha * step
-            rc = res(cand)
-            if np.linalg.norm(rc) < np.linalg.norm(r):
-                z, r = cand, rc
-                improved = True
-                break
-        if not improved:
-            break
-    if np.max(np.abs(r)) > 1e-8 * scale:
-        return None
-    return _smat(z[:n * (n + 1) // 2], n), z[-len(contacts):]
-
-
-def _polish(body, e, b0, cfg):
-    contacts = _collect_contacts(body, e, b0, cfg)
-    n = body.dim
-    if len(contacts) > n:
-        # flat boundaries put whole arcs of near-contacts inside the window;
-        # the nonnegative fit of Q_E^{-1} picks the carrying subset and the
-        # Newton step relocates those points exactly
-        w0 = isotropy_certificate(e, [x for _, x, _ in contacts]).weights
-        if np.max(w0) > 0:
-            keep = [c for c, w in zip(contacts, w0) if w > 1e-12 * np.max(w0)]
-            if len(keep) >= n:
-                contacts = keep
-    while len(contacts) >= n:
-        out = _newton_contacts(e, b0, contacts)
-        if out is None:
+def _refine(body, e, b0, cfg):
+    """The cut-loop answer b0 pinned by supporting-slab rounds (above), with
+    slab normals from the body's scaled normal, or on a 2-d vertex polytope
+    from `_vrep_facet_normal` (contacts at a vertex are skipped); the outer
+    body is solved by `_facet_report`.  Stops once successive forms agree
+    to 1e-15 relative, or after _REFINE_ROUNDS rounds.  b0 is kept when
+    the slabs do not span or the refined form pokes out of the body by
+    more than 10 * tol_feas."""
+    normal = body.scaled_normal
+    if normal is None and isinstance(body, PolytopeV) and body.dim == 2:
+        normal = functools.partial(_vrep_facet_normal, body)
+    if normal is None:
+        return b0
+    points = contact_points(body, e, make_ellipsoid(b0), max(1e-3, 100.0 * cfg.tol_feas))
+    f = None
+    for _ in range(_REFINE_ROUNDS):
+        try:
+            outer = PolytopeH([h for h in map(normal, points) if h is not None])
+        except ValueError:
             return b0
-        b1, lam = out
-        if np.min(lam) < -1e-8 and len(contacts) > n:
-            contacts.pop(int(np.argmin(lam)))
-            continue
-        break
-    else:
+        last, f = f, _facet_report(outer, e, cfg).minimizer
+        if last is not None and form_distance(f, last) <= 1e-15:
+            break
+        points = contact_points(outer, e, f, 1e-9)
+        points /= norm_many(body, points)[:, None]
+    if contains_ellipsoid(body, f, cfg.tol_feas).worst_margin < -10.0 * cfg.tol_feas:
         return b0
-    if np.min(lam) < -1e-8:
-        return b0
-    try:
-        cholesky(b1)
-    except NotPositiveDefiniteError:
-        return b0
-    if np.linalg.norm(b1 - b0) > 0.05 * max(1.0, np.linalg.norm(b0)):
-        return b0
-    obj0 = float(np.trace(e.q_inv @ b0))
-    obj1 = float(np.trace(e.q_inv @ b1))
-    bound = max(1.0, abs(obj0))
-    if not (-1e-7 * bound <= obj1 - obj0 <= max(1e-5, 100.0 * cfg.tol_feas) * bound):
-        return b0
-    if contains_ellipsoid(body, make_ellipsoid(b1), cfg.tol_feas).worst_margin < -10.0 * cfg.tol_feas:
-        return b0
-    return b1
+    return f.q
 
 
 def _finalize(body, e, b, cfg):
@@ -499,7 +402,7 @@ def solve_u(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) ->
         b, pool, lp_count, status = _cut_loop(body, e, cfg, cfg.seed + 7919 * r)
         total_lp += lp_count
         if status == "optimal":
-            b = _polish(body, e, b, cfg)
+            b = _refine(body, e, b, cfg)
         runs.append((_finalize(body, e, b, cfg), pool.points, status))
     # uniqueness contract: completed restarts must land on the same form;
     # aborted runs only promise a feasible iterate and are exempt

@@ -44,7 +44,7 @@ def test_solve_u_cross_polytope():
 def test_solve_u_vertex_polytope_matches_facet_form():
     rep_v = ef.solve_u(cross_v(2), BALL2)
     rep_h = ef.solve_u(cross_h(2), BALL2)
-    assert ef.form_distance(rep_v.minimizer, rep_h.minimizer) < 1e-4
+    assert ef.form_distance(rep_v.minimizer, rep_h.minimizer) < 1e-12
 
 
 def test_initial_cuts_lie_on_the_boundary():
@@ -59,7 +59,7 @@ def test_initial_cuts_lie_on_the_boundary():
 
 
 def test_svec_coordinates_carry_the_lp_identities():
-    # the cut-loop LP, the polish and the face analysis rely on these
+    # the cut-loop LP, both central paths and the face analysis rely on these
     rng = np.random.default_rng(14)
     for n in range(1, 6):
         x = rng.standard_normal((3, n))
@@ -319,6 +319,15 @@ def test_solve_u_smooth_ball_bodies():
     rep = ef.solve_u(ef.LpBall(1.5, 1.0, 2), BALL2)
     assert np.linalg.norm(rep.minimizer.q - 2.0 ** (1.0 / 3.0) * np.eye(2)) < 1e-6
     assert abs(rep.j_value - 2.0 ** (1.0 / 6.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("p, j_value", [(3.0, 1.0), (1.5, 2.0 ** (1.0 / 6.0))])
+def test_solve_u_smooth_ball_answer_is_scale_free(p, j_value):
+    # the unit-scale instance scaled by 1e3 (body) and 1e3 (reference): J is
+    # unchanged, so no step of the solve may be absolute
+    rep = ef.solve_u(ef.LpBall(p, 1e3, 2), ef.make_ellipsoid(1e-6 * np.eye(2)))
+    assert rep.status == "optimal"
+    assert abs(rep.j_value - j_value) <= 1e-12 * j_value
 
 
 def test_solve_u_ellipsoidal_body_closed_form():

@@ -1,13 +1,15 @@
 """Property tests of the facet-form solve against independent routes (the
 solver-free certificate check, a redundant representation of the same
 body, and a linear image of the whole instance), and of the circumscribed
-solve against forms that touch the body and against linear images."""
+solve against forms that touch the body and against linear images, and
+of the slab normals that the refinement of cut-loop answers builds on."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ellipfit as ef
+from ellipfit.solver import _vrep_facet_normal
 from util import rand_invertible, rand_polytope_h, rand_spd_ellipsoid
 
 PROPERTY = settings(max_examples=30, deadline=None)
@@ -116,3 +118,40 @@ def test_linear_maps_commute_with_the_circumscribed_solve(seed, n, extra, log_co
     elif base.uniqueness == "unknown":
         mapped = ef.ellipsoid_linear_image(t, base.maximizer)
         assert ef.form_distance(image.maximizer, mapped) <= 1e-6
+
+
+# The premise of the supporting-slab refinement of cut-loop answers: the
+# slab normal h at a boundary point x supports the body there, h . x = 1
+# and support(h) = max over the body of h . y <= 1, so the slab body
+# {|h_j . y| <= 1} contains K and its minimizer is a lower bound.
+
+def _assert_supporting(body, x, h):
+    assert abs(float(h @ x) - 1.0) <= 1e-12
+    assert body.support(h) <= 1.0 + 1e-12
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
+       p=st.floats(1.0, 20.0, exclude_min=True).filter(lambda p: p != 2.0),
+       log_radius=st.floats(-3.0, 3.0),
+       image=st.booleans())
+def test_scaled_normal_supports_the_smooth_body(seed, n, p, log_radius, image):
+    rng = np.random.default_rng(seed)
+    body = ef.LpBall(p, 10.0**log_radius, n)
+    if image:
+        body = ef.linear_image(rand_invertible(rng, n, cond=100.0), body)
+    for d in rng.standard_normal((5, n)):
+        x = ef.boundary_point(body, d)
+        _assert_supporting(body, x, body.scaled_normal(x))
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), generators=st.integers(2, 7))
+def test_vertex_facet_normal_supports_the_polygon(seed, generators):
+    rng = np.random.default_rng(seed)
+    body = ef.PolytopeV(rng.standard_normal((generators, 2)))
+    for d in rng.standard_normal((5, 2)):
+        x = ef.boundary_point(body, d)
+        h = _vrep_facet_normal(body, x)
+        if h is not None:
+            _assert_supporting(body, x, h)
