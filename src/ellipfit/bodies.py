@@ -191,6 +191,8 @@ class LpBall(ConvexBody):
         super().__init__(int(dim))
         self.p = p
         self.radius = float(radius)
+        # largest |x_i| whose p-th powers, summed over a row, stay finite
+        self._power_safe = (np.finfo(float).max / dim) ** (1.0 / p)
 
     @property
     def dual_p(self) -> float:
@@ -201,7 +203,19 @@ class LpBall(ConvexBody):
         return self.p / (self.p - 1.0)
 
     def norm_many(self, pts):
-        return np.linalg.norm(pts, ord=self.p, axis=1) / self.radius
+        if not 1.0 < self.p < np.inf:  # sums or maxima of |x_i|: no power to overflow
+            return np.linalg.norm(pts, ord=self.p, axis=1) / self.radius
+        if np.abs(pts).max(initial=0.0) <= self._power_safe:
+            out = np.linalg.norm(pts, ord=self.p, axis=1) / self.radius
+        else:
+            with np.errstate(over="ignore"):
+                out = np.linalg.norm(pts, ord=self.p, axis=1) / self.radius
+        if not (out.min(initial=1.0) > 0.0 and out.max(initial=0.0) < np.inf):
+            # |x_i|^p over- or underflowed: those rows again with max |x_i| factored out
+            bad = ~np.isfinite(out) | ((out == 0.0) & np.any(pts, axis=1))
+            top = np.max(np.abs(pts[bad]), axis=1, keepdims=True)
+            out[bad] = top[:, 0] * np.linalg.norm(pts[bad] / top, ord=self.p, axis=1) / self.radius
+        return out
 
     def support(self, theta) -> float:
         theta = np.asarray(theta, dtype=float)
@@ -235,7 +249,7 @@ class LpBall(ConvexBody):
         if not 1.0 < self.p < np.inf:
             return None
         p, r = self.p, self.radius
-        return lambda x: np.sign(x) * np.abs(x) ** (p - 1.0) / r**p
+        return lambda x: np.sign(x) * (np.abs(x) / r) ** (p - 1.0) / r  # r**p overflows for large p
 
 
 def _sign_rows(n: int) -> np.ndarray:

@@ -23,10 +23,19 @@ containment off the factor of X it ends with.
 An ellipsoidal body {x : x^T Q_K x <= 1} is its own minimizer: every
 inscribed form satisfies B >= Q_K, so B = Q_K in closed form.
 
-Other bodies run a cutting-plane loop on svec(B) (`certificates._svec`,
-the coordinates of the path and the certificate): the semi-infinite
-constraint family "x^T B x >= 1 on the body boundary" is relaxed to
-finitely many boundary-point cuts:
+A smooth body (a scaled normal: lp balls with 1 < p < inf and their
+images) runs an exchange of supporting slabs on the inscribed path: the
+slabs of its supporting hyperplanes at finitely many boundary points
+bound a facet body that contains K, whose minimizer is a lower bound;
+each round adds slabs where that minimizer pokes out of K, and its path
+starts warm from the last round's.  No LP runs.  Once none pokes out,
+slab rounds from its contacts (as below) pin the directions of the form
+that the contacts leave flat.
+
+Vertex polytopes run a cutting-plane loop on svec(B)
+(`certificates._svec`, the coordinates of the path and the certificate):
+the semi-infinite constraint family "x^T B x >= 1 on the body boundary"
+is relaxed to finitely many boundary-point cuts:
 
 * the LP relaxation (boxed, so always solvable) is solved;
 * an indefinite B gets an eigenvector cut, a boundary point along the
@@ -34,12 +43,12 @@ finitely many boundary-point cuts:
 * otherwise the containment oracle either accepts or supplies a violated
   boundary point as the next cut.
 
-After convergence a supporting-slab refinement pins the optimum well
-below the LP feasibility floor: the slabs of the body's supporting
-hyperplanes at the contacts `certificates.contact_points` finds bound a
-facet body that contains K, whose minimizer (the inscribed path above)
-touches it at points that, projected onto the boundary of K, are the
-next contacts.  A final rescale makes containment exact.
+After convergence a supporting-slab refinement pins the optimum of a
+2-d polygon well below the LP feasibility floor: the slabs of its edges
+at the contacts `certificates.contact_points` finds bound a facet body
+that contains K, whose minimizer (the inscribed path above) touches it
+at points that, projected onto the boundary of K, are the next
+contacts.  A final rescale makes containment exact.
 """
 
 from __future__ import annotations
@@ -49,11 +58,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bodies import (ConvexBody, PolytopeH, PolytopeV, body_in_ellipsoid,
-                     boundary_form_max, boundary_point, canonical_pair,
-                     contains_ellipsoid, linear_image, norm_many, polar)
+from .bodies import (ConvexBody, PolytopeH, PolytopeV, _net_boundary, body_in_ellipsoid,
+                     boundary_form_max, boundary_point, boundary_quadratic_scan,
+                     canonical_pair, contains_ellipsoid, fold_merge, linear_image, norm_many,
+                     polar)
 from .certificates import _pairs, _smat, _svec, _svec_dyads, contact_points
-from .ellipsoids import Ellipsoid, form_distance, m_ellipsoid, make_ellipsoid
+from .ellipsoids import Ellipsoid, form_distance, m_ellipsoid, make_ellipsoid, unit_ball
 from .numerics import (LpProblem, NotPositiveDefiniteError, cholesky, factor_cholesky, inv_sqrt,
                        solve_lp, sym_eigen)
 
@@ -77,11 +87,13 @@ class UnsupportedBodyError(ValueError):
 @dataclass(frozen=True)
 class SolveConfig:
     """Solver settings.  `tol_feas` is the containment tolerance of every
-    solve.  `max_cuts` caps the Newton steps of either central path, or
-    the LP solves of each cutting-plane restart.  `restarts`, `tol_obj`
-    and `box_R` apply to the cutting-plane loop only; `seed` draws its
-    random cuts and the starting point set of `solve_u_bar` on a smooth
-    body.  The central path itself is deterministic."""
+    solve.  `max_cuts` caps the Newton steps of each central path, the
+    rounds of the smooth-body exchange, and the LP solves of each
+    cutting-plane restart.  `restarts`, `tol_obj` and `box_R` apply to
+    the cutting-plane loop (vertex polytopes) only; `seed` draws its
+    random cuts and the starting point sets of the smooth-body exchange
+    and of `solve_u_bar` on a smooth body.  The central path itself is
+    deterministic."""
 
     tol_feas: float = 1e-8
     tol_obj: float = 1e-9
@@ -111,9 +123,16 @@ class SolveReport:
     (1 + path gap)(1 + r) - 1 with r = max(0, max_j |R^T g_j|^2 - 1) the
     whitened excess of the factor R the path ended with (g_j = L^{-1} h_j;
     no float re-check of Q_F runs); it is None if cfg.max_cuts ran out
-    before the first center.  Other bodies run the cutting-plane loop: `cuts`
-    are its boundary-point cuts, `gap` is None and `lp_iterations` counts
-    the LP solves over all restarts.
+    before the first center.  Smooth bodies run the supporting-slab
+    exchange: `cuts` are the boundary points of its slabs,
+    `lp_iterations` is 0 and `gap` is max(0, (1 + path gap) / low - 1),
+    with low the minimum of x^T Q_F x that the last boundary scan found
+    (an exact lower bound on J and a sampled upper one); F is the slab
+    body's minimizer, or, once its form is pinned, that of the slabs at
+    its contacts.  Vertex
+    polytopes run the cutting-plane loop: `cuts` are its boundary-point
+    cuts, `gap` is None and `lp_iterations` counts the LP solves over all
+    restarts.
     """
 
     minimizer: Ellipsoid
@@ -259,7 +278,7 @@ def _cut_loop(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig, seed: int):
 # That body contains K, so its exact minimizer bounds J from below; its own
 # contacts, projected radially onto the boundary of K, are the next x_j.
 
-_REFINE_ROUNDS = 30  # cap on slab rounds; they converge linearly, 2-4x per round on lp balls
+_REFINE_ROUNDS = 30  # cap on slab rounds, which converge linearly
 
 
 def _vrep_facet_normal(body, x):
@@ -292,31 +311,43 @@ def _vrep_facet_normal(body, x):
     return h
 
 
-def _refine(body, e, b0, cfg):
-    """The cut-loop answer b0 pinned by supporting-slab rounds (above), with
-    slab normals from the body's scaled normal, or on a 2-d vertex polytope
-    from `_vrep_facet_normal` (contacts at a vertex are skipped); the outer
-    body is solved by `_facet_report`.  Stops once successive forms agree
-    to 1e-15 relative, or after _REFINE_ROUNDS rounds.  b0 is kept when
-    the slabs do not span or the refined form pokes out of the body by
-    more than 10 * tol_feas."""
-    normal = body.scaled_normal
-    if normal is None and isinstance(body, PolytopeV) and body.dim == 2:
-        normal = functools.partial(_vrep_facet_normal, body)
-    if normal is None:
-        return b0
-    points = contact_points(body, e, make_ellipsoid(b0), max(1e-3, 100.0 * cfg.tol_feas))
-    f = None
-    for _ in range(_REFINE_ROUNDS):
+def _slab_rounds(body, normal, e, points, cfg, start=None):
+    """Supporting-slab rounds (above) from the boundary points `points`,
+    with slab normals `normal(x)` (None skips a point), each outer body
+    solved by `_facet_path`.  Stops once successive forms agree to 1e-15
+    relative, or after _REFINE_ROUNDS rounds.  Each path starts cold, or,
+    given the factor `start`, warm from it and then from the last round's
+    end.  Returns the last round's report, the rounds run and the Newton
+    steps spent, or None when the slabs do not span."""
+    rep, steps = None, 0
+    for rounds in range(1, _REFINE_ROUNDS + 1):
         try:
             outer = PolytopeH([h for h in map(normal, points) if h is not None])
         except ValueError:
-            return b0
-        last, f = f, _facet_report(outer, e, cfg).minimizer
-        if last is not None and form_distance(f, last) <= 1e-15:
+            return None
+        last = rep
+        rep, end = _facet_path(outer, e, cfg, start)
+        steps, start = steps + end.steps, None if start is None else end.root
+        if last is not None and form_distance(rep.minimizer, last.minimizer) <= 1e-15:
             break
-        points = contact_points(outer, e, f, 1e-9)
+        points = contact_points(outer, e, rep.minimizer, 1e-9)
         points /= norm_many(body, points)[:, None]
+    return rep, rounds, steps
+
+
+def _refine(body, e, b0, cfg):
+    """The cut-loop answer b0 pinned by `_slab_rounds` from its contacts,
+    with slab normals on a 2-d vertex polytope from `_vrep_facet_normal`
+    (contacts at a vertex are skipped).  b0 is kept on other bodies, when
+    the slabs do not span or when the refined form pokes out of the body
+    by more than 10 * tol_feas."""
+    if not (isinstance(body, PolytopeV) and body.dim == 2):
+        return b0
+    points = contact_points(body, e, make_ellipsoid(b0), max(1e-3, 100.0 * cfg.tol_feas))
+    done = _slab_rounds(body, functools.partial(_vrep_facet_normal, body), e, points, cfg)
+    if done is None:
+        return b0
+    f = done[0].minimizer
     if contains_ellipsoid(body, f, cfg.tol_feas).worst_margin < -10.0 * cfg.tol_feas:
         return b0
     return f.q
@@ -349,6 +380,10 @@ def _quadric_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveRe
 
 
 def _facet_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveReport:
+    return _facet_path(body, e, cfg)[0]
+
+
+def _facet_path(body, e, cfg, start=None):
     """The inscribed central path over the whitened facets g_j = L^{-1} h_j
     (module docstring), B = L X^{-1} L^T.  Containment is read from the
     factor R the path ends with, not from a float check of Q_F, whose
@@ -359,10 +394,11 @@ def _facet_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveRepo
     lowers tr X^{-1}.  The minimizer's Cholesky factor is read off
     half = R^{-1} L^T, not off the rounded Q_F, so facet checks of it read
     the path's margins.  The cuts are the boundary points along
-    Q_F^{-1} h_j."""
+    Q_F^{-1} h_j.  Returns the report and the path's end; `start` warm-starts
+    the path (`_central_path`)."""
     facets = body.facet_form
     g = np.linalg.solve(e.chol, facets.T).T
-    end = _central_path(g, cfg.max_cuts, -1)
+    end = _central_path(g, cfg.max_cuts, -1, start)
     touch = float(np.max(np.sum((g @ end.root) ** 2, axis=1)))  # 1 + r
     half = np.linalg.solve(end.root, e.chol.T) * np.sqrt(touch)  # R^{-1} L^T, so B = half^T half
     minimizer = replace(make_ellipsoid(half.T @ half), chol=factor_cholesky(half))
@@ -371,7 +407,95 @@ def _facet_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveRepo
     done = end.gap is not None and end.gap <= _PATH_GAP[-1]
     cuts = facets @ minimizer.q_inv
     cuts /= norm_many(body, cuts)[:, None]
-    return _report(e, minimizer, "optimal" if done else "max_cuts_reached", cuts, 0, gap, cfg)
+    return _report(e, minimizer, "optimal" if done else "max_cuts_reached", cuts, 0, gap, cfg), end
+
+
+# --------------------------------------------------------------------------
+# Supporting-slab exchange for smooth bodies (Hettich & Kortanek 1993, SIAM
+# Review).  The slabs {|h_j . x| <= 1}, h_j = scaled_normal(x_j) at boundary
+# points x_j, cut out a facet body that contains K, so its minimizer F
+# (`_facet_report`) bounds J from below.  Each round adds slabs where F
+# pokes out of K, until the scan finds it poking out nowhere.
+
+_EXCHANGE_VIOLATION = 1e-13  # gauge excess or form deficit that earns a point its slab
+_EXCHANGE_DESCENT = 96  # descent rounds of its scans; 48 fell short on rotated 4-d balls
+
+
+def _violations(body, f, starts):
+    """The descent endpoints of the boundary scan of Q_F (`starts`
+    multistarts, None for the default) with x^T Q_F x < 1 -
+    _EXCHANGE_VIOLATION, most violated first, and the scan's minimum."""
+    pts, vals = boundary_quadratic_scan(body, f.q, 1, starts=starts, rounds=_EXCHANGE_DESCENT)
+    ends = np.arange(len(_net_boundary(body, None)), len(vals))
+    ends = ends[vals[ends] < 1.0 - _EXCHANGE_VIOLATION]
+    return pts[ends[np.argsort(vals[ends])]], float(vals.min())
+
+
+def _exchange_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveReport:
+    """The exchange above, run on the whitened body L^T K (Q_E = L L^T),
+    where E is the unit ball, so the scans see every reference alike.  It
+    starts from the slabs at the `_initial_cuts` points; each round's path
+    is warm-started from the last.  Each round solves the slab body for F,
+    then looks for new slab points: F's contacts with the slab body,
+    projected radially onto the boundary of K, where their gauge exceeds
+    1 + _EXCHANGE_VIOLATION, and the violated descent endpoints of a cheap
+    boundary scan of Q_F (n multistarts besides the scan's 4n best net
+    points; 4n multistarts took as many rounds).  When neither finds one,
+    F's form is pinned: it is only held to second order along directions
+    that its contacts leave flat, so `_slab_rounds` from its contacts gives
+    F'.  The full scan then confirms F', else F; the first it finds inside
+    K ends the exchange, and if neither, F's violations go on.  It also
+    stops after cfg.max_cuts rounds or when a round's path runs out of its
+    cfg.max_cuts Newton steps.  The answer is scaled by its full scan's
+    minimum `low` of x^T Q_F x, so that it touches K where the scan looks;
+    `gap` is (1 + path gap) / low - 1, at least 0: the slab body's J is an
+    exact lower bound, the rescaled J a sampled upper one."""
+    n = body.dim
+    white = linear_image(e.chol.T, body)
+    ball = unit_ball(n)
+    points = np.array(_initial_cuts(white, cfg.seed).points)
+    rounds = steps = scans = pins = 0
+    end = stop = None
+    while stop is None:
+        outer = PolytopeH([white.scaled_normal(x) for x in points])
+        rep, end = _facet_path(outer, ball, cfg, None if end is None else end.root)
+        rounds, steps = rounds + 1, steps + end.steps
+        touch = contact_points(outer, ball, rep.minimizer, 1e-9)
+        gauge = norm_many(white, touch)
+        touch /= gauge[:, None]
+        new = touch[gauge > 1.0 + _EXCHANGE_VIOLATION]
+        ends, low = _violations(white, rep.minimizer, n)
+        scans, full = scans + 1, False
+        if not len(new) and not len(ends) and rep.status == "optimal":
+            pinned = _slab_rounds(white, white.scaled_normal, ball, touch, cfg, end.root)
+            if pinned is not None and pinned[0].status == "optimal":
+                pins, steps, scans = pins + pinned[1], steps + pinned[2], scans + 1
+                pin_ends, pin_low = _violations(white, pinned[0].minimizer, None)
+                if not len(pin_ends):
+                    rep, low, full, stop = pinned[0], pin_low, True, "converged"
+                    break
+            ends, low = _violations(white, rep.minimizer, None)
+            scans, full = scans + 1, True
+            if not len(ends):
+                stop = "converged"
+                break
+        if rep.status != "optimal" or rounds >= cfg.max_cuts:
+            stop = "budget"
+        else:
+            points = np.vstack([points, fold_merge(np.vstack([new, ends]))])
+    if not full:
+        low = _violations(white, rep.minimizer, None)[1]
+        scans += 1
+    minimizer = make_ellipsoid(e.chol @ (rep.minimizer.q / low) @ e.chol.T)
+    gap = None if rep.gap is None else max(0.0, (1.0 + rep.gap) / low - 1.0)
+    import logging  # here, so that a process that solves no smooth body never loads it
+
+    logging.getLogger("ellipfit").debug(
+        "smooth exchange: %d rounds, %d slabs, %d pinning rounds, %d Newton steps, %d scans, "
+        "gap %s, stop %s", rounds, len(points), pins, steps, scans, gap, stop)
+    done = stop == "converged" and rep.status == "optimal"
+    return _report(e, minimizer, "optimal" if done else "max_cuts_reached",
+                   np.linalg.solve(e.chol.T, points.T).T, 0, gap, cfg)
 
 
 def solve_u(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) -> SolveReport:
@@ -379,14 +503,17 @@ def solve_u(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) ->
 
     Ellipsoidal bodies are their own minimizer (closed form).  Bodies with
     a facet form run the inscribed central path once (no LP; it is
-    deterministic, so cfg.restarts and cfg.seed do not apply), others the
-    cutting-plane loop; cfg.max_cuts caps the Newton steps of the path or
-    the LP solves per restart, and box_R applies to the cutting-plane loop
+    deterministic, so cfg.restarts and cfg.seed do not apply), smooth
+    bodies the supporting-slab exchange on that path once (no LP; seeded
+    by cfg.seed), vertex polytopes the cutting-plane loop; cfg.max_cuts
+    caps the Newton steps of each path, the exchange's rounds and the LP
+    solves per restart, and box_R applies to the cutting-plane loop
     only.  The minimizer is unique; the cutting-plane loop is repeated
     from cfg.restarts randomized seeds and the results must agree within
     1e-4 relative Frobenius distance, else RestartDisagreementError is
     raised.  The returned ellipsoid is contained in the body within
-    10 * tol_feas.
+    10 * tol_feas (on smooth and vertex bodies, as far as the boundary
+    scan samples).
     """
     if e.dim != body.dim:
         raise ValueError("dimension mismatch between body and ellipsoid")
@@ -396,6 +523,8 @@ def solve_u(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) ->
         return _quadric_report(body, e, cfg)
     if body.facet_form is not None:
         return _facet_report(body, e, cfg)
+    if body.scaled_normal is not None:
+        return _exchange_report(body, e, cfg)
     runs = []
     total_lp = 0
     for r in range(cfg.restarts):
@@ -463,6 +592,7 @@ _PATH_GAP = {1: 1e-12, -1: 1e-16}
 _PATH_SHRINK = 0.01  # reduction of t at each center
 _PATH_CENTERED = 1.0  # Newton decrement below which the iterate is a center
 _PATH_SETTLED = 1e-8  # gap of the iterate that fixes the position along a flat face
+_PATH_WARM = (1e-12, 1e-3)  # range of the gap at which a warm start enters the path
 
 
 def _path_step(v, root, s, t, power):
@@ -536,22 +666,32 @@ class _PathEnd:
     settled: np.ndarray | None  # X where the gap first fell below _PATH_SETTLED
 
 
-def _central_path(v, max_steps, power) -> _PathEnd:
+def _central_path(v, max_steps, power, start=None) -> _PathEnd:
     """Follow the path of `_path_step`, lowering t by _PATH_SHRINK at each
     center (Newton decrement below _PATH_CENTERED), until the gap
     t (n + m) / tr X^power is at most _PATH_GAP[power] or max_steps Newton
-    steps are spent.  The start X = (V^T V)^{-1} / (2 max_k h_k) has the
-    shape of the points; their leverages h_k are at most 1."""
+    steps are spent.  The cold start X = (V^T V)^{-1} / (2 max_k h_k) has
+    the shape of the points (their leverages h_k are at most 1) and gap 1.
+    A warm start from the factor `start` of a nearby solution enters at
+    gap w = 100 |max_k h_k - 1| (clipped to _PATH_WARM), scaled into the
+    points so that max_k h_k = 1 - w: the nearer `start` is to the new
+    points' optimum, the fewer centers are left."""
     m, n = v.shape
-    root = np.linalg.inv(np.linalg.cholesky(v.T @ v)).T
-    lev = np.sum((v @ root) ** 2, axis=1)
-    root *= np.sqrt(0.5 / lev.max())
-    s = 1.0 - 0.5 * lev / lev.max()
+    if start is None:
+        root, share, gap = np.linalg.inv(np.linalg.cholesky(v.T @ v)).T, 0.5, 1.0
+        lev = np.sum((v @ root) ** 2, axis=1)
+    else:
+        root = start
+        lev = np.sum((v @ root) ** 2, axis=1)
+        gap = min(max(100.0 * abs(lev.max() - 1.0), _PATH_WARM[0]), _PATH_WARM[1])
+        share = 1.0 - gap
+    root = root * np.sqrt(share / lev.max())
+    s = 1.0 - share * lev / lev.max()
 
     def objective(root):  # tr X^power = |R^power|_F^2
         return float(np.sum(np.linalg.matrix_power(root, power) ** 2))
 
-    t = objective(root) / (n + m)
+    t = gap * objective(root) / (n + m)
     gap = settled = None
     steps = 0
     while steps < max_steps:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -339,11 +341,12 @@ def test_nested_json_image_matches_linear_image_twin():
             (oka, exa), (okb, exb) = (ef.body_in_ellipsoid(nested, ell, 1e-9),
                                       ef.body_in_ellipsoid(twin, ell, 1e-9))
             assert oka == okb and abs(exa - exb) <= 1e-9 * (1.0 + abs(exb)), inner
-        if nested.facet_form is None and nested.quadric_form is None:
-            continue  # cut-loop bodies: too slow for this suite
+        if nested.facet_form is None and nested.quadric_form is None \
+                and nested.scaled_normal is None:
+            continue  # the vertex polytope runs the cut loop: too slow for this suite
         ra, rb = ef.solve_u(nested, e), ef.solve_u(twin, e)
         assert abs(ra.j_value - rb.j_value) <= 1e-9 * rb.j_value, inner
-        if nested.facet_form is not None:
+        if nested.quadric_form is None:
             assert ra.gap is not None and rb.gap is not None, inner
 
 
@@ -357,3 +360,24 @@ def test_containment_witness_is_a_boundary_point_of_its_own():
         assert abs(body.norm(v.witness) - 1.0) <= 1e-12, type(body)
         if body.last_scan is not None:
             assert not np.shares_memory(v.witness, body.last_scan[1])
+
+
+def test_lp_gauge_and_normal_survive_extreme_exponents():
+    # |x_i|^p overflows at p = 101 and |x_i| = 2e3, r**p at p = 150 and
+    # r = 1e3, and |x_i|^3 underflows at 1e-200; ordinary rows keep the
+    # bits of the plain p-norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = ef.polar(ef.LpBall(1.01, 1e-3, 2))  # the p = 101 ball of radius 1e3
+        assert abs(ef.norm_many(big, [[2e3, 1.0]])[0] - 2.0) <= 1e-12
+        x = ef.boundary_point(ef.LpBall(101, 1.0, 2), [2e3, 1.0])
+        assert np.allclose(x, [1.0, 5e-4], rtol=1e-12, atol=0.0)
+        tiny = ef.norm_many(ef.LpBall(3, 1.0, 2), [[1e-200, 0.0]])[0]
+        assert abs(tiny / 1e-200 - 1.0) <= 1e-12
+        body = ef.LpBall(150, 1e3, 2)
+        x = ef.boundary_point(body, [1.0, 0.5])
+        h = body.scaled_normal(x)
+        assert abs(float(h @ x) - 1.0) <= 1e-12 and body.support(h) <= 1.0 + 1e-12
+    pts = np.random.default_rng(3).standard_normal((20, 3))
+    assert np.array_equal(ef.norm_many(ef.LpBall(3, 2.0, 3), pts),
+                          np.linalg.norm(pts, ord=3, axis=1) / 2.0)

@@ -25,6 +25,9 @@ def files(tmp_path):
                                    "facets": [[0.5, 0], [0, 1]]}),
         "narrow": dump("narrow.json", {"dim": 2, "type": "polytope_v",
                                        "generators": [[0.1, 1], [0.1, -1]]}),
+        # the square [-1, 1]^2 by its vertices: its gauge is an LP
+        "square_v": dump("square_v.json", {"dim": 2, "type": "polytope_v",
+                                           "generators": [[1, 1], [1, -1]]}),
         "ball": dump("ball.json", {"dim": 2, "Q": [[1, 0], [0, 1]]}),
         "skew": dump("skew.json", {"dim": 2, "Q": [[1, 0], [0, 4]]}),
         "inflated": dump("inflated.json",
@@ -38,7 +41,7 @@ def files(tmp_path):
                                      "inner": {"dim": 3, "type": "lp_ball", "p": 2, "radius": 1}}),
         "own": dump("own.json", {"dim": 3, "Q": [[1, -0.5, 0], [-0.5, 0.5, 0], [0, 0, 1]]}),
         "ball3": dump("ball3.json", {"dim": 3, "Q": np.eye(3).tolist()}),
-        # no facet form and no quadric, so its solve runs the cutting-plane LP
+        # no facet form and no quadric, so its solve runs the supporting-slab exchange
         "l15": dump("l15.json", {"dim": 2, "type": "lp_ball", "p": 1.5, "radius": 1}),
         "dir": tmp_path,
     }
@@ -64,18 +67,30 @@ def test_compute_u_report(files):
 
 
 def test_reports_are_byte_identical(files):
-    out1 = str(files["dir"] / "a.json")
-    out2 = str(files["dir"] / "b.json")
-    for out in (out1, out2):
-        assert main(["compute-u", "--body", files["rect"], "--ellipsoid", files["ball"],
-                     "--out", out]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    for body in ("rect", "l15"):
+        out1 = str(files["dir"] / f"{body}_a.json")
+        out2 = str(files["dir"] / f"{body}_b.json")
+        for out in (out1, out2):
+            assert main(["compute-u", "--body", files[body], "--ellipsoid", files["ball"],
+                         "--out", out]) == 0
+        assert open(out1, "rb").read() == open(out2, "rb").read(), body
 
 
 def test_j_value(files, capsys):
     assert main(["j-value", "--body", files["rect"], "--ellipsoid", files["ball"]]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert abs(doc["J"] ** 2 - 5.0 / 8.0) < 1e-8
+
+
+def test_j_value_near_round_smooth_ball(files, capsys):
+    # p = 1.99 in 3-d: the exchange converges only linearly (about 37 rounds),
+    # inside the default budget, so the command exits 0 with the closed form
+    body = files["dir"] / "l199.json"
+    body.write_text('{"dim": 3, "type": "lp_ball", "p": 1.99, "radius": 1}')
+    assert main(["j-value", "--body", str(body), "--ellipsoid", files["ball3"]]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "optimal"
+    assert abs(doc["J"] / 3.0 ** (1.0 / 1.99 - 0.5) - 1.0) <= 1e-12
 
 
 def test_invalid_body_exits_1(files, capsys):
@@ -193,13 +208,16 @@ def test_facet_and_quadric_commands_load_no_scipy(files):
     runs = {"compute-u": ["compute-u", "--body", files["square"], "--ellipsoid", files["ball"]],
             "j-value": ["j-value", "--body", files["rect"], "--ellipsoid", files["ball"]],
             "certify": ["certify", "--body", files["image"], "--ellipsoid", files["ball3"],
-                        "--candidate", files["own"]]}
+                        "--candidate", files["own"]],
+            # a smooth body: the supporting-slab exchange runs no LP either
+            "l15": ["j-value", "--body", files["l15"], "--ellipsoid", files["ball"]]}
     for name, args in runs.items():
         out = str(files["dir"] / f"cold_{name}.json")
         assert _fresh_cli(args + ["--out", out]) == {"code": 0, "scipy": []}, name
     assert _read(str(files["dir"] / "cold_compute-u.json"))["certificate"]["residual"] <= 1e-12
     cert = _read(str(files["dir"] / "cold_certify.json"))
     assert cert["verdict"] == "verified" and cert["residual"] <= 1e-12
+    assert abs(_read(str(files["dir"] / "cold_l15.json"))["J"] - 2.0 ** (1.0 / 6.0)) <= 1e-12
 
 
 def test_lp_paths_import_highs_on_first_use(files):
@@ -207,7 +225,9 @@ def test_lp_paths_import_highs_on_first_use(files):
     assert _fresh_cli(["dual", "--body", files["narrow"], "--ellipsoid", files["ball"],
                        "--out", out])["code"] == 0
     assert _read(out)["status"] == "non_attained"
-    out = str(files["dir"] / "cold_l15.json")
-    run = _fresh_cli(["j-value", "--body", files["l15"], "--ellipsoid", files["ball"], "--out", out])
+    # the unit disk in the vertex square: every gauge of the containment scan is an LP
+    out = str(files["dir"] / "cold_square_v.json")
+    run = _fresh_cli(["certify", "--body", files["square_v"], "--ellipsoid", files["ball"],
+                      "--candidate", files["ball"], "--out", out])
     assert run["code"] == 0 and "scipy" in run["scipy"]
-    assert abs(_read(out)["J"] - 2.0 ** (1.0 / 6.0)) <= 1e-12
+    assert _read(out)["verdict"] == "verified"

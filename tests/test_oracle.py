@@ -32,9 +32,13 @@ def test_brute_force_agrees_with_solver():
     # infeasible ellipse can pass between boundary samples), so the grid
     # value may undershoot slightly; the refinement keeps that below 1e-3
     print("oracle limitation: containment by boundary sampling is one-sided")
-    for body in (square_h(), rectangle_h(), cross_h(2)):
-        rep = ef.solve_u(body, BALL2)
-        _, j = brute_force_u(body, BALL2, GRID)
+    skew = ef.make_ellipsoid(np.array([[1.0, 0.3], [0.3, 0.5]]))
+    for body, e in ((square_h(), BALL2), (rectangle_h(), BALL2), (cross_h(2), BALL2),
+                    # smooth bodies against a reference not mapped with them, so
+                    # that u_K(E) is no multiple of E
+                    (ef.LpBall(1.5, 1.0, 2), skew), (ef.LpBall(3.0, 1.0, 2), skew)):
+        rep = ef.solve_u(body, e)
+        _, j = brute_force_u(body, e, GRID)
         assert abs(j - rep.j_value) < 1e-3
 
 

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,8 @@ def test_solve_u_vertex_polytope_matches_facet_form():
     rep_v = ef.solve_u(cross_v(2), BALL2)
     rep_h = ef.solve_u(cross_h(2), BALL2)
     assert ef.form_distance(rep_v.minimizer, rep_h.minimizer) < 1e-12
+    # a vertex polytope has no facet form and no smooth boundary: it runs the LP loop
+    assert rep_v.lp_iterations >= 3
 
 
 def test_initial_cuts_lie_on_the_boundary():
@@ -275,12 +279,27 @@ def test_gauge_of_fixed_point_dominates_inscribed():
         assert ef.m_ellipsoid(BALL2, f) >= 1.0 - 1e-8
 
 
-def test_solve_report_lp_iterations_positive():
-    # a smooth lp ball has no facet form, so it still runs the LP loop
+def test_solve_report_smooth_exchange_runs_no_lp():
+    # a smooth lp ball runs the supporting-slab exchange: no LP, and a gap
     rep = ef.solve_u(ef.LpBall(1.5, 1.0, 2), BALL2)
-    assert rep.lp_iterations >= 3
+    assert rep.status == "optimal"
+    assert rep.lp_iterations == 0
+    assert rep.gap is not None and rep.gap <= 1e-12
     assert rep.cuts.shape[0] >= 2
-    assert rep.gap is None
+    _report_invariants(ef.LpBall(1.5, 1.0, 2), BALL2, rep)
+
+
+def test_smooth_exchange_logs_one_debug_record(caplog):
+    with caplog.at_level(logging.DEBUG, logger="ellipfit"):
+        rep = ef.solve_u(ef.LpBall(3, 1.0, 2), BALL2)
+    records = [r for r in caplog.records if r.name == "ellipfit"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    message = records[0].getMessage()
+    for word in ("rounds", "slabs", "pinning rounds", "Newton steps", "scans", "gap",
+                 "stop converged"):
+        assert word in message
+    assert f"gap {rep.gap}" in message
+    assert not logging.getLogger("ellipfit").handlers  # the library adds none
 
 
 def test_solve_report_dual_path():
@@ -330,6 +349,17 @@ def test_solve_u_smooth_ball_answer_is_scale_free(p, j_value):
     assert abs(rep.j_value - j_value) <= 1e-12 * j_value
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_smooth_exchange_pins_the_form(n):
+    # u_K(E) for p = 1.5 against the unit ball is the ball of radius
+    # n^(1/2 - 1/p); its 2^n diagonal contacts leave directions of the form
+    # flat, which the slab rounds from the exchange's contacts pin
+    rep = ef.solve_u(ef.LpBall(1.5, 1.0, n), ef.unit_ball(n))
+    exact = ef.make_ellipsoid(n ** (2.0 / 1.5 - 1.0) * np.eye(n))
+    assert rep.status == "optimal"
+    assert ef.form_distance(rep.minimizer, exact) <= 1e-12
+
+
 def test_solve_u_ellipsoidal_body_closed_form():
     rng = np.random.default_rng(13)
     for n in (2, 3, 4):
@@ -375,6 +405,16 @@ def test_solve_u_max_cuts_reports_feasible_iterate():
     assert rep.status == "max_cuts_reached"
     assert ef.contains_ellipsoid(square_h(), rep.minimizer, 10.0 * cfg.tol_feas).contained
     assert rep.j_value >= 1.0 - 1e-9  # cannot beat the true optimum
+
+
+@pytest.mark.parametrize("max_cuts", [4, 20])
+def test_smooth_exchange_budget_keeps_a_feasible_iterate(max_cuts):
+    # the first round's path runs out of its Newton steps
+    cfg, body, j_value = SolveConfig(max_cuts=max_cuts), ef.LpBall(1.5, 1.0, 2), 2.0 ** (1.0 / 6.0)
+    rep = ef.solve_u(body, BALL2, cfg)
+    assert rep.status == "max_cuts_reached"
+    assert ef.contains_ellipsoid(body, rep.minimizer, 10.0 * cfg.tol_feas).contained
+    assert 0.0 <= (rep.j_value / j_value) ** 2 - 1.0 <= rep.gap
 
 
 def test_facet_gap_covers_the_rescale(monkeypatch):

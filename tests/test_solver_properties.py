@@ -1,8 +1,10 @@
 """Property tests of the facet-form solve against independent routes (the
 solver-free certificate check, a redundant representation of the same
 body, and a linear image of the whole instance), and of the circumscribed
-solve against forms that touch the body and against linear images, and
-of the slab normals that the refinement of cut-loop answers builds on."""
+solve against forms that touch the body and against linear images, of
+the supporting-slab exchange on smooth bodies against closed forms, and
+of the slab normals that the exchange and the refinement of cut-loop
+answers build on."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -54,6 +56,66 @@ def test_linear_maps_commute_with_the_solve(seed, n, extra, log_cond):
     assert direct.status == "optimal"
     mapped = ef.ellipsoid_linear_image(t, ef.solve_u(body, e).minimizer)
     assert ef.form_distance(direct.minimizer, mapped) <= 1e-8
+
+
+# The supporting-slab exchange on smooth bodies.  Over the ball of radius
+# rho, the minimizer in {||x||_p <= r} is the ball of radius r n^(1/2 - 1/p)
+# for p < 2 and r for p > 2, so J = (rho / r) n^max(0, 1/p - 1/2); a linear
+# image of body and ball keeps J.  p near 2, where the exchange converges
+# only linearly (30 to 60 rounds at p = 1.99 in 3-d and 4-d), is drawn as
+# often as the rest.  The maps stay below condition 10: beyond it
+# verify_u's scan, which samples the body's own coordinates, misses
+# contacts of the exact minimizer too (at condition 100 it rejected 10 of
+# 25 closed-form minimizers).
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
+       p=st.one_of(st.floats(1.1, 1.9), st.floats(1.9, 2.1).filter(lambda p: p != 2.0),
+                   st.floats(2.1, 12.0)),
+       log_radius=st.floats(-3.0, 3.0), log_rho=st.floats(-1.0, 1.0),
+       log_cond=st.one_of(st.none(), st.floats(0.0, 1.0)))
+@example(seed=0, n=3, p=1.99, log_radius=0.0, log_rho=0.0, log_cond=None)
+@example(seed=1, n=4, p=2.01, log_radius=0.0, log_rho=0.0, log_cond=1.0)
+def test_smooth_exchange_matches_the_closed_form(seed, n, p, log_radius, log_rho, log_cond):
+    body = ef.LpBall(p, 10.0**log_radius, n)
+    e = ef.make_ellipsoid(10.0 ** (-2.0 * log_rho) * np.eye(n))
+    if log_cond is not None:
+        t = rand_invertible(np.random.default_rng(seed), n, cond=10.0**log_cond)
+        body, e = ef.linear_image(t, body), ef.ellipsoid_linear_image(t, e)
+    j = 10.0 ** (log_rho - log_radius) * n ** max(0.0, 1.0 / p - 0.5)
+    rep = ef.solve_u(body, e)
+    assert rep.status == "optimal" and rep.lp_iterations == 0
+    assert abs(rep.j_value / j - 1.0) <= 1e-12
+    # the gap bounds the excess up to the round-off of J itself (a few ulps)
+    assert (rep.j_value / j) ** 2 - 1.0 <= rep.gap + 1e-14 and rep.gap <= 1e-12
+    assert ef.verify_u(body, e, rep.minimizer, 1e-6).verdict == ef.VERIFIED
+
+
+# Against a reference that is not mapped with the body, u_K(E) is no
+# multiple of E, and no closed form is known: the answer is held to the
+# certificate check and to a linear image of the whole instance, which
+# must give the same J and the image of the minimizer.  Where the contacts
+# leave directions of the form flat (fewer contacts than the form has
+# entries), J and containment change only to second order along them, so
+# the form is pinned to about the square root of the 1e-13 at which the
+# exchange stops: the 2-d p = 3 example below maps to a form 2.5e-7 away
+# whose J agrees to 3e-14.
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
+       p=st.one_of(st.floats(1.1, 1.9), st.floats(2.1, 12.0)), log_radius=st.floats(-2.0, 2.0))
+@example(seed=2048, n=2, p=3.0, log_radius=0.0)
+def test_smooth_exchange_on_non_round_references(seed, n, p, log_radius):
+    rng = np.random.default_rng(seed)
+    body, e = ef.LpBall(p, 10.0**log_radius, n), rand_spd_ellipsoid(rng, n, cond=25.0)
+    rep = ef.solve_u(body, e)
+    assert rep.status == "optimal" and rep.lp_iterations == 0 and rep.gap <= 1e-12
+    assert ef.contains_ellipsoid(body, rep.minimizer, 1e-12).contained
+    assert ef.verify_u(body, e, rep.minimizer, 1e-6).verdict == ef.VERIFIED
+    t = rand_invertible(rng, n, cond=10.0)
+    mapped = ef.solve_u(ef.linear_image(t, body), ef.ellipsoid_linear_image(t, e))
+    assert abs(mapped.j_value / rep.j_value - 1.0) <= 1e-12
+    assert ef.form_distance(mapped.minimizer, ef.ellipsoid_linear_image(t, rep.minimizer)) <= 1e-6
 
 
 # Circumscribed solve on random vertex polytopes.  The supremum is often
