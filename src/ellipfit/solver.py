@@ -30,7 +30,8 @@ bound a facet body that contains K, whose minimizer is a lower bound;
 each round adds slabs where that minimizer pokes out of K, and its path
 starts warm from the last round's.  No LP runs.  Once none pokes out,
 slab rounds from its contacts (as below) pin the directions of the form
-that the contacts leave flat.
+that the contacts leave flat.  Its circumscribed path (and an ellipsoidal
+body's) adds each round every scanned maximum of x^T B x above 1 + tol_feas.
 
 Vertex polytopes run a cutting-plane loop on svec(B)
 (`certificates._svec`, the coordinates of the path and the certificate):
@@ -147,10 +148,11 @@ class SolveReport:
 @dataclass(frozen=True)
 class DualReport:
     """Outcome of `solve_u_bar`; `gap` is the relative duality gap
-    t (n + m) / tr X of the last center the path reached (None if the
-    step budget ran out before the first).  When the supremum is not
-    attained, `null_space` has orthonormal rows spanning the null space of
-    the limit form, `degenerate_direction` first."""
+    g = t (n + m) / tr X of the last center the path reached (None before
+    the first), on scanned bodies (1 + g) sqrt(max) - 1, max the full
+    scan's maximum of x^T B x, so that I <= I_true <= I (1 + gap).  When
+    the supremum is not attained, `null_space` has orthonormal rows
+    spanning the null space of the limit form, `degenerate_direction` first."""
 
     status: str  # "attained" | "non_attained" | "max_cuts_reached"
     i_value: float
@@ -419,16 +421,17 @@ def _facet_path(body, e, cfg, start=None):
 
 _EXCHANGE_VIOLATION = 1e-13  # gauge excess or form deficit that earns a point its slab
 _EXCHANGE_DESCENT = 96  # descent rounds of its scans; 48 fell short on rotated 4-d balls
+_CHEAP_DESCENT = 48  # descent rounds of the cheap scans of `solve_u_bar`, which a full scan backs
 
 
-def _violations(body, f, starts):
-    """The descent endpoints of the boundary scan of Q_F (`starts`
-    multistarts, None for the default) with x^T Q_F x < 1 -
-    _EXCHANGE_VIOLATION, most violated first, and the scan's minimum."""
-    pts, vals = boundary_quadratic_scan(body, f.q, 1, starts=starts, rounds=_EXCHANGE_DESCENT)
+def _violations(body, form, sense, starts, tol=_EXCHANGE_VIOLATION, rounds=_EXCHANGE_DESCENT):
+    """Descent endpoints of the boundary scan of x^T Q x (`starts` multistarts,
+    None for the default) more than tol below 1 (sense 1, a minimum) or
+    above it (-1, a maximum), most violated first, and the scan's extremum."""
+    pts, vals = boundary_quadratic_scan(body, form, sense, starts=starts, rounds=rounds)
     ends = np.arange(len(_net_boundary(body, None)), len(vals))
-    ends = ends[vals[ends] < 1.0 - _EXCHANGE_VIOLATION]
-    return pts[ends[np.argsort(vals[ends])]], float(vals.min())
+    ends = ends[sense * vals[ends] < sense - tol]
+    return pts[ends[np.argsort(sense * vals[ends])]], float(sense * np.min(sense * vals))
 
 
 def _exchange_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveReport:
@@ -464,17 +467,17 @@ def _exchange_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveR
         gauge = norm_many(white, touch)
         touch /= gauge[:, None]
         new = touch[gauge > 1.0 + _EXCHANGE_VIOLATION]
-        ends, low = _violations(white, rep.minimizer, n)
+        ends, low = _violations(white, rep.minimizer.q, 1, n)
         scans, full = scans + 1, False
         if not len(new) and not len(ends) and rep.status == "optimal":
             pinned = _slab_rounds(white, white.scaled_normal, ball, touch, cfg, end.root)
             if pinned is not None and pinned[0].status == "optimal":
                 pins, steps, scans = pins + pinned[1], steps + pinned[2], scans + 1
-                pin_ends, pin_low = _violations(white, pinned[0].minimizer, None)
+                pin_ends, pin_low = _violations(white, pinned[0].minimizer.q, 1, None)
                 if not len(pin_ends):
                     rep, low, full, stop = pinned[0], pin_low, True, "converged"
                     break
-            ends, low = _violations(white, rep.minimizer, None)
+            ends, low = _violations(white, rep.minimizer.q, 1, None)
             scans, full = scans + 1, True
             if not len(ends):
                 stop = "converged"
@@ -484,7 +487,7 @@ def _exchange_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveR
         else:
             points = np.vstack([points, fold_merge(np.vstack([new, ends]))])
     if not full:
-        low = _violations(white, rep.minimizer, None)[1]
+        low = _violations(white, rep.minimizer.q, 1, None)[1]
         scans += 1
     minimizer = make_ellipsoid(e.chol @ (rep.minimizer.q / low) @ e.chol.T)
     gap = None if rep.gap is None else max(0.0, (1.0 + rep.gap) / low - 1.0)
@@ -738,17 +741,19 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
     """Circumscribed ellipsoids maximizing the mean-square gauge over E.
 
     Bodies with extreme points run the central path over them; bodies
-    with a quadric or smooth boundary over a point set grown by the point
-    where `boundary_form_max` finds the last form poking out by more than
-    cfg.tol_feas.  Facet-only bodies raise UnsupportedBodyError.  The
-    supremum is attained iff the center of the optimal face is positive
-    definite, else the null space of its limit is reported; a second
-    maximizer is X + eps D along a flat D of the face (half way to the
-    nearest inactive point or PSD boundary; checked on a smooth body).
-    cfg.max_cuts caps the Newton steps; out of budget, I is that of the
-    feasible iterate (a lower bound).  cfg.restarts and cfg.box_R are not
-    used.
-    """
+    with a quadric or smooth boundary over a point set that each round
+    grows by the descent endpoints of a cheap boundary scan (`_violations`,
+    n multistarts) with x^T B x > 1 + cfg.tol_feas, or, if it finds none,
+    of the full scan, which otherwise confirms B; B is then divided by the
+    full scan's maximum (if above 1).  Facet-only bodies raise
+    UnsupportedBodyError.  The supremum is attained iff the center of the
+    optimal face is positive definite, else the null space of its limit is
+    reported; a second maximizer is X + eps D along a flat D of the face
+    (half way to the nearest inactive point or PSD boundary; checked on a
+    smooth body).  cfg.max_cuts caps the Newton steps of all rounds; out
+    of budget, I is that of the scaled iterate (a lower bound).  A scanned
+    body's solve leaves a debug record on the `ellipfit` logger: rounds,
+    points, Newton steps, scans, gap and stop reason."""
     if body.extreme_points is None and body.quadric_form is None and body.scaled_normal is None:
         raise UnsupportedBodyError("circumscribed solve needs extreme points or a smooth boundary")
     if e.dim != body.dim:
@@ -757,21 +762,36 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
         raise ValueError("max_cuts must be at least 1")
     n, exact, steps = body.dim, body.extreme_points is not None, 0
     points = body.extreme_points if exact else np.array(_initial_cuts(body, cfg.seed + 17).points)
+    worst, rounds, cheap, full = 1.0, 0, 0, 0
     while True:
         v = points @ e.chol
         end = _central_path(v, cfg.max_cuts - steps, 1)
-        steps += end.steps
+        steps, rounds = steps + end.steps, rounds + 1
         done = end.gap is not None and end.gap <= _PATH_GAP[1]
         x, flat, null = _optimal_face(v, end) if done else (end.root @ end.root.T, None, None)
-        worst, point = (1.0, None) if exact else boundary_form_max(body, e.chol @ x @ e.chol.T)
-        if not done or worst <= 1.0 + cfg.tol_feas:
+        form = e.chol @ x @ e.chol.T
+        if exact:
             break
-        points = np.vstack([points, point])
-    report = dict(i_value=float(np.sqrt(np.trace(x) / n)), maximizer=None,
+        new = _violations(body, form, -1, n, cfg.tol_feas, _CHEAP_DESCENT)[0] if done else ()
+        cheap += done
+        if not len(new):
+            new, worst = _violations(body, form, -1, None, cfg.tol_feas)
+            full += 1
+        if not done or not len(new):
+            break
+        points = np.vstack([points, fold_merge(new)])
+    scale = max(1.0, worst)
+    gap = end.gap if exact or end.gap is None else (1.0 + end.gap) * np.sqrt(scale) - 1.0
+    report = dict(i_value=float(np.sqrt(np.trace(x) / n / scale)), maximizer=None,
                   degenerate_direction=None, null_space=None, uniqueness="unknown",
-                  second=None, gap=end.gap)
+                  second=None, gap=gap)
+    if not exact:
+        import logging  # here, so that a process that solves no smooth body never loads it
+        logging.getLogger("ellipfit").debug(
+            "smooth circumscribed solve: %d rounds, %d points, %d Newton steps, %d cheap scans, "
+            "%d full scans, gap %s, stop %s", rounds, len(v), steps, cheap, full, gap,
+            "converged" if done else "budget")
     if not done:
-        report["i_value"] /= np.sqrt(max(1.0, worst))
         return DualReport(status="max_cuts_reached", **report)
     if null is not None:
         direction = canonical_pair(np.linalg.solve(e.chol.T, null[:, 0]))[1]
@@ -779,7 +799,7 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
         basis[0] = direction
         report.update(degenerate_direction=direction, null_space=basis)
         return DualReport(status="non_attained", **report)
-    report["maximizer"] = make_ellipsoid(e.chol @ x @ e.chol.T)
+    report["maximizer"] = make_ellipsoid(form / scale)
     if flat.size:
         d = _smat(flat[0], n)
         w = inv_sqrt(x)
@@ -788,10 +808,10 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
         up = (growth > 0) & (end.s ** 2 > end.t / np.trace(x))  # inactive points it nears
         slack = 1.0 - np.einsum("ki,ij,kj->k", v, x, v)
         eps = min(eps, np.min(slack[up] / growth[up], initial=np.inf))
-        b = e.chol @ (x + 0.5 * eps * d) @ e.chol.T
+        b = e.chol @ (x + 0.5 * eps * d) @ e.chol.T / scale
         # on a smooth body the point set is a relaxation whose flat directions
         # the body may cut off: the step must be long and pass the same check
-        if exact or (form_distance(b, e.chol @ x @ e.chol.T) > 1e-3
+        if exact or (form_distance(b, form / scale) > 1e-3
                      and boundary_form_max(body, b)[0] <= 1.0 + cfg.tol_feas):
             report.update(uniqueness="multiple_found", second=make_ellipsoid(b))
     return DualReport(status="attained", **report)

@@ -160,7 +160,8 @@ def test_dual_narrow_box_not_attained():
 def test_dual_ball_unique():
     rep = ef.solve_u_bar(ef.LpBall(2, 1.0, 2), BALL2)
     assert rep.status == "attained"
-    assert abs(rep.i_value - 1.0) < 1e-9
+    assert abs(rep.i_value - 1.0) <= rep.gap * rep.i_value <= 1e-9
+    assert ef.body_in_ellipsoid(ef.LpBall(2, 1.0, 2), rep.maximizer, 1e-12)[0]
     assert ef.form_distance(rep.maximizer, BALL2) < 1e-9
     assert rep.uniqueness == "unknown"
 
@@ -207,10 +208,56 @@ def test_dual_accepts_bodies_by_structure():
     image = ef.solve_u_bar(ef.linear_image(t, ef.LpBall(3, 1.0, 2)),
                            ef.ellipsoid_linear_image(t, BALL2))
     assert (ball.status, image.status) == ("attained", "attained")
+    for rep in (ball, image):  # I = 2^(-1/6) for both
+        assert abs(rep.i_value - 2.0 ** (-1.0 / 6.0)) <= rep.gap * rep.i_value
     assert abs(image.i_value - ball.i_value) <= 1e-6 * ball.i_value
+    assert ef.body_in_ellipsoid(ef.LpBall(3, 1.0, 2), ball.maximizer, 1e-12)[0]
+    assert ef.body_in_ellipsoid(ef.linear_image(t, ef.LpBall(3, 1.0, 2)), image.maximizer, 1e-12)[0]
     wrapped = ef.LinearImage(t, ef.PolytopeV([[1.0, 1.0], [1.0, -1.0]]))
     rep = ef.solve_u_bar(wrapped, ef.ellipsoid_linear_image(t, BALL2))
     assert abs(rep.i_value - 1.0 / np.sqrt(2.0)) <= 1e-9
+
+
+# Smooth circumscribed solves.  The maximizer over the unit ball of the
+# unit lp ball with p > 2 is the ball of radius n^(1/2 - 1/p), I = n^(1/p - 1/2).
+# The relaxation's form is divided by the full scan's maximum, so the body
+# is inside the answer, and its gap brackets I from above.
+
+@pytest.mark.parametrize("p, n", [(3, 2), (4, 2), (3, 3), (4, 3)])
+def test_smooth_dual_is_feasible_and_brackets_the_closed_form(p, n):
+    body = ef.LpBall(p, 1.0, n)
+    rep = ef.solve_u_bar(body, ef.unit_ball(n))
+    assert rep.status == "attained"
+    assert ef.body_in_ellipsoid(body, rep.maximizer, 1e-12)[0]
+    assert abs(rep.i_value - n ** (1.0 / p - 0.5)) <= rep.gap * rep.i_value
+    assert abs(ef.m_ellipsoid(ef.unit_ball(n), rep.maximizer) - rep.i_value) <= 1e-12
+
+
+def test_smooth_dual_on_a_non_round_3d_reference():
+    # the answer rests on about 130 boundary points, which the default 2000
+    # Newton steps reach only when a round adds every violated scan maximum
+    body = ef.LpBall(3, 1.0, 3)
+    e = rand_spd_ellipsoid(np.random.default_rng(5), 3, cond=10.0)
+    rep = ef.solve_u_bar(body, e)
+    assert rep.status == "attained"
+    assert ef.body_in_ellipsoid(body, rep.maximizer, 1e-12)[0]
+    t = rand_invertible(np.random.default_rng(0), 3)
+    mapped = ef.solve_u_bar(ef.linear_image(t, body), ef.ellipsoid_linear_image(t, e))
+    assert mapped.status == "attained"
+    assert abs(mapped.i_value / rep.i_value - 1.0) <= 1e-7
+
+
+def test_smooth_dual_logs_one_debug_record(caplog):
+    with caplog.at_level(logging.DEBUG, logger="ellipfit"):
+        rep = ef.solve_u_bar(ef.LpBall(3, 1.0, 2), BALL2)
+    records = [r for r in caplog.records if r.name == "ellipfit"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    message = records[0].getMessage()
+    for word in ("rounds", "points", "Newton steps", "cheap scans", "1 full scans",
+                 "stop converged"):
+        assert word in message
+    assert f"gap {rep.gap}" in message
+    assert not logging.getLogger("ellipfit").handlers
 
 
 def test_dual_equivalence_examples():

@@ -118,6 +118,25 @@ def test_smooth_exchange_on_non_round_references(seed, n, p, log_radius):
     assert ef.form_distance(mapped.minimizer, ef.ellipsoid_linear_image(t, rep.minimizer)) <= 1e-6
 
 
+# Circumscribed solve on smooth bodies against references not mapped with
+# them: the answer contains the body, its I is its own, and a linear image
+# of the whole instance gives the same I up to the tol_feas the scans stop at.
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       p=st.one_of(st.floats(1.2, 1.8), st.floats(2.5, 6.0)), log_cond=st.floats(0.0, 1.0))
+def test_smooth_circumscribed_solve_is_feasible_and_equivariant(seed, p, log_cond):
+    rng = np.random.default_rng(seed)
+    body, e = ef.LpBall(p, 1.0, 2), rand_spd_ellipsoid(rng, 2, cond=10.0**log_cond)
+    rep = ef.solve_u_bar(body, e)
+    assert rep.status == "attained"
+    assert ef.body_in_ellipsoid(body, rep.maximizer, 1e-12)[0]
+    assert abs(ef.m_ellipsoid(e, rep.maximizer) - rep.i_value) <= 1e-12
+    t = rand_invertible(rng, 2)
+    mapped = ef.solve_u_bar(ef.linear_image(t, body), ef.ellipsoid_linear_image(t, e))
+    assert abs(mapped.i_value / rep.i_value - 1.0) <= 1e-7
+
+
 # Circumscribed solve on random vertex polytopes.  The supremum is often
 # not attained there (a singular optimal form), so the properties that need
 # a maximizer are checked when there is one.
