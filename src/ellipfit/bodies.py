@@ -7,12 +7,12 @@ Four representations:
 * ``LpBall``       -- {x : ||x||_p <= r} for p in [1, inf]
 * ``LinearImage``  -- T K for an invertible T and any inner body K
 
-Each exposes the gauge norm (the unique norm whose unit ball is the body),
-the support function and a boundary-point map, plus whatever exact
-structure it has (a facet form, extreme points, a quadric or a smooth
-boundary normal), computed on first use and kept.  On top of those sit
-polar duality, linear images, and the ellipsoid containment test used as
-the separation oracle by the cutting-plane solvers.
+Each class holds its variant's logic: the gauge norm (the unique norm
+whose unit ball is the body), the polar body, linear images and the JSON
+form, plus whatever exact structure it has (a facet form, extreme points,
+a quadric or a smooth boundary normal), computed on first use and kept.
+The support function is the polar body's gauge.  A boundary-point map and
+the ellipsoid containment test (the solvers' separation oracle) sit on top.
 
 Facet and vertex data use the symmetric convention (each row stands for a
 +- pair), so symmetry holds by construction.
@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import LpProblem, inv_sqrt, solve_lp, sym_eigen
+from .numerics import inv_sqrt, sym_eigen
 
 _SING_TOL = 1e-10  # smallest/largest singular value ratio below which a map is rejected
 _SCAN_SEED = 1234  # multistart directions of boundary_quadratic_scan
@@ -65,8 +65,10 @@ def invertible_map(matrix, dim: int) -> np.ndarray:
 
 
 class ConvexBody:
-    """Base type; concrete bodies implement the batched gauge `norm_many`
-    and the support function.
+    """Base type.  A concrete body implements the batched gauge
+    `norm_many`, `polar()` and its JSON form: `to_json()`, and `from_json`
+    for a document of type `kind` with the fields `fields`.  The support
+    function is the polar body's gauge.
 
     Exact structure is computed on first use and kept; each attribute is
     None for a body without that structure:
@@ -106,20 +108,24 @@ class ConvexBody:
         raise NotImplementedError
 
     def support(self, theta) -> float:
-        raise NotImplementedError
+        """max of theta . x over the body, the gauge of the polar body at theta."""
+        return self.polar().norm(theta)
+
+    def linear_image(self, t: np.ndarray) -> ConvexBody:
+        """T K for an `invertible_map` T."""
+        return LinearImage(t, self)
 
 
 class PolytopeH(ConvexBody):
     """{x : |h_j . x| <= 1 for every facet row h_j}."""
+
+    kind, fields = "polytope_h", ("facets",)
 
     def __init__(self, facets):
         f = np.array(facets, dtype=float)
         _check_spanning(f, "facets")
         super().__init__(f.shape[1])
         self.facets = f
-        sv = np.linalg.svd(f, compute_uv=False)
-        # ||x|| <= sqrt(m)/sigma_min for any x in the body; used to box support LPs.
-        self._radius_bound = float(np.sqrt(f.shape[0]) / sv[-1])
 
     @property
     def facet_form(self):
@@ -128,15 +134,24 @@ class PolytopeH(ConvexBody):
     def norm_many(self, pts):
         return np.max(np.abs(pts @ self.facets.T), axis=1)
 
-    def support(self, theta) -> float:
-        theta = np.asarray(theta, dtype=float)
-        rows = [(h, -1.0) for h in self.facets] + [(-h, -1.0) for h in self.facets]
-        sol = solve_lp(LpProblem(-theta, tuple(rows), box=self._radius_bound + 1.0))
-        return float(theta @ sol.x)
+    def polar(self):
+        return PolytopeV(self.facets)
+
+    def linear_image(self, t):
+        return PolytopeH(self.facets @ np.linalg.inv(t))
+
+    def to_json(self):
+        return {"dim": self.dim, "type": self.kind, "facets": self.facets.tolist()}
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls(obj["facets"])
 
 
 class PolytopeV(ConvexBody):
     """conv{+-w_k} for the generator rows w_k."""
+
+    kind, fields = "polytope_v", ("generators",)
 
     def __init__(self, generators):
         w = np.array(generators, dtype=float)
@@ -173,12 +188,24 @@ class PolytopeV(ConvexBody):
         out[~np.any(pts, axis=1)] = 0.0
         return out
 
-    def support(self, theta) -> float:
-        return float(np.max(np.abs(self.generators @ np.asarray(theta, dtype=float))))
+    def polar(self):
+        return PolytopeH(self.generators)
+
+    def linear_image(self, t):
+        return PolytopeV(self.generators @ t.T)
+
+    def to_json(self):
+        return {"dim": self.dim, "type": self.kind, "generators": self.generators.tolist()}
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls(obj["generators"])
 
 
 class LpBall(ConvexBody):
     """{x : ||x||_p <= radius} with p in [1, inf]."""
+
+    kind, fields = "lp_ball", ("p", "radius")
 
     def __init__(self, p, radius, dim):
         p = float(p)
@@ -193,14 +220,6 @@ class LpBall(ConvexBody):
         self.radius = float(radius)
         # largest |x_i| whose p-th powers, summed over a row, stay finite
         self._power_safe = (np.finfo(float).max / dim) ** (1.0 / p)
-
-    @property
-    def dual_p(self) -> float:
-        if self.p == 1.0:
-            return np.inf
-        if np.isinf(self.p):
-            return 1.0
-        return self.p / (self.p - 1.0)
 
     def norm_many(self, pts):
         if not 1.0 < self.p < np.inf:  # sums or maxima of |x_i|: no power to overflow
@@ -217,12 +236,21 @@ class LpBall(ConvexBody):
             out[bad] = top[:, 0] * np.linalg.norm(pts[bad] / top, ord=self.p, axis=1) / self.radius
         return out
 
-    def support(self, theta) -> float:
-        theta = np.asarray(theta, dtype=float)
-        top = float(np.max(np.abs(theta)))  # factored out: |theta_i|^q overflows for p near 1
-        if top == 0.0:
-            return 0.0
-        return float(self.radius * top * np.linalg.norm(theta / top, ord=self.dual_p))
+    def polar(self):
+        p = self.p
+        dual = np.inf if p == 1.0 else 1.0 if np.isinf(p) else p / (p - 1.0)
+        return LpBall(dual, 1.0 / self.radius, self.dim)
+
+    def to_json(self):
+        p = "inf" if np.isinf(self.p) else self.p
+        return {"dim": self.dim, "type": self.kind, "p": p, "radius": self.radius}
+
+    @classmethod
+    def from_json(cls, obj):
+        p, radius = (np.inf if obj["p"] == "inf" else obj["p"]), obj["radius"]
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (p, radius)):
+            raise ValueError('p must be a number or "inf", and radius a number')
+        return cls(p, radius, obj["dim"])
 
     @cached_property
     def facet_form(self):
@@ -260,6 +288,8 @@ def _sign_rows(n: int) -> np.ndarray:
 class LinearImage(ConvexBody):
     """T K for an invertible matrix T and inner body K."""
 
+    kind, fields = "linear_image", ("matrix", "inner")
+
     def __init__(self, matrix, inner: ConvexBody):
         t = invertible_map(matrix, inner.dim)
         super().__init__(inner.dim)
@@ -270,8 +300,19 @@ class LinearImage(ConvexBody):
     def norm_many(self, pts):
         return norm_many(self.inner, pts @ self.matrix_inv.T)
 
-    def support(self, theta) -> float:
-        return self.inner.support(self.matrix.T @ np.asarray(theta, dtype=float))
+    def polar(self):
+        return LinearImage(self.matrix_inv.T, self.inner.polar())
+
+    def linear_image(self, t):
+        return self.inner.linear_image(invertible_map(t @ self.matrix, self.dim))
+
+    def to_json(self):
+        return {"dim": self.dim, "type": self.kind, "matrix": self.matrix.tolist(),
+                "inner": self.inner.to_json()}
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls(obj["matrix"], body_from_json(obj["inner"]))
 
     # The inner body's structure composed with the map, once per body.
 
@@ -313,32 +354,16 @@ def boundary_point(body: ConvexBody, direction) -> np.ndarray:
 
 
 def polar(body: ConvexBody) -> ConvexBody:
-    """Standard polar body {y : x . y <= 1 for all x in K}.
-
-    Facet and vertex representations swap; an lp ball dualizes its exponent
-    and inverts its radius; a linear image maps by the inverse transpose.
-    """
-    if isinstance(body, PolytopeH):
-        return PolytopeV(body.facets.copy())
-    if isinstance(body, PolytopeV):
-        return PolytopeH(body.generators.copy())
-    if isinstance(body, LpBall):
-        return LpBall(body.dual_p, 1.0 / body.radius, body.dim)
-    if isinstance(body, LinearImage):
-        return LinearImage(body.matrix_inv.T, polar(body.inner))
-    raise TypeError(f"unknown body variant {type(body)!r}")
+    """Standard polar body {y : x . y <= 1 for all x in K}: facet and vertex
+    forms swap, an lp ball dualizes its exponent and inverts its radius, a
+    linear image maps by the inverse transpose."""
+    return body.polar()
 
 
 def linear_image(matrix, body: ConvexBody) -> ConvexBody:
-    """The body T K.  Pushes through polytope data; otherwise wraps."""
-    t = invertible_map(matrix, body.dim)
-    if isinstance(body, PolytopeH):
-        return PolytopeH(body.facets @ np.linalg.inv(t))
-    if isinstance(body, PolytopeV):
-        return PolytopeV(body.generators @ t.T)
-    if isinstance(body, LinearImage):
-        return linear_image(t @ body.matrix, body.inner)
-    return LinearImage(t, body)
+    """The body T K.  Pushes through polytope data and composes images;
+    otherwise wraps."""
+    return body.linear_image(invertible_map(matrix, body.dim))
 
 
 def canonical_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -559,60 +584,34 @@ def body_in_ellipsoid(body: ConvexBody, ellipsoid, tol: float) -> tuple[bool, fl
 
 
 # ---------------------------------------------------------------------------
-# Serialization.  {"dim": n, "type": ..., variant fields}; unknown fields
-# are rejected so schema drift fails loudly.
+# Serialization.  {"dim": n, "type": ..., variant fields}; the type picks
+# the class, which reads and writes its own fields.  Unknown fields are
+# rejected so schema drift fails loudly.
 
-_BODY_FIELDS = {
-    "polytope_h": {"dim", "type", "facets"},
-    "polytope_v": {"dim", "type", "generators"},
-    "lp_ball": {"dim", "type", "p", "radius"},
-    "linear_image": {"dim", "type", "matrix", "inner"},
-}
+_BODY_TYPES = {cls.kind: cls for cls in (PolytopeH, PolytopeV, LpBall, LinearImage)}
 
 
 def body_from_json(obj) -> ConvexBody:
-    """Parse the body file schema, validating shape and field names."""
+    """Parse the body file schema, validating shape and field names.  A
+    nested image stays nested, as built."""
     if not isinstance(obj, dict):
         raise ValueError("body document must be an object")
     kind = obj.get("type")
-    if kind not in _BODY_FIELDS:
+    if kind not in _BODY_TYPES:
         raise ValueError(f"unknown body type {kind!r}")
-    extra = set(obj) - _BODY_FIELDS[kind]
-    missing = _BODY_FIELDS[kind] - set(obj)
+    cls = _BODY_TYPES[kind]
+    fields = {"dim", "type", *cls.fields}
+    extra, missing = set(obj) - fields, fields - set(obj)
     if extra or missing:
         raise ValueError(f"bad fields for {kind}: extra={sorted(extra)} missing={sorted(missing)}")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValueError("dim must be a positive integer")
-    if kind == "polytope_h":
-        body = PolytopeH(obj["facets"])
-    elif kind == "polytope_v":
-        body = PolytopeV(obj["generators"])
-    elif kind == "lp_ball":
-        p = obj["p"]
-        if p == "inf":
-            p = np.inf
-        elif not isinstance(p, (int, float)):
-            raise ValueError('p must be a number or "inf"')
-        body = LpBall(p, obj["radius"], dim)
-    else:
-        body = LinearImage(obj["matrix"], body_from_json(obj["inner"]))
+    body = cls.from_json(obj)
     if body.dim != dim:
         raise ValueError("dim field does not match the body data")
     return body
 
 
 def body_to_json(body: ConvexBody) -> dict:
-    if isinstance(body, PolytopeH):
-        return {"dim": body.dim, "type": "polytope_h",
-                "facets": body.facets.tolist()}
-    if isinstance(body, PolytopeV):
-        return {"dim": body.dim, "type": "polytope_v",
-                "generators": body.generators.tolist()}
-    if isinstance(body, LpBall):
-        p = "inf" if np.isinf(body.p) else body.p
-        return {"dim": body.dim, "type": "lp_ball", "p": p, "radius": body.radius}
-    if isinstance(body, LinearImage):
-        return {"dim": body.dim, "type": "linear_image",
-                "matrix": body.matrix.tolist(), "inner": body_to_json(body.inner)}
-    raise TypeError(f"unknown body variant {type(body)!r}")
+    return body.to_json()

@@ -116,7 +116,7 @@ def ellipsoid_from_json(obj) -> Ellipsoid:
     if not isinstance(obj, dict) or set(obj) != {"dim", "Q"}:
         raise ValueError('ellipsoid document must have exactly the fields "dim" and "Q"')
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValueError("dim must be a positive integer")
     q = np.asarray(obj["Q"], dtype=float)
     if q.shape != (dim, dim):

@@ -20,8 +20,9 @@ center of the optimal face, which the centers reach as t -> 0; the
 inscribed one, whose minimizer is unique, stops at 1e-16 and reads
 containment off the factor of X it ends with.
 
-An ellipsoidal body {x : x^T Q_K x <= 1} is its own minimizer: every
-inscribed form satisfies B >= Q_K, so B = Q_K in closed form.
+An ellipsoidal body {x : x^T Q_K x <= 1} is its own minimizer and its
+own maximizer: every inscribed form satisfies B >= Q_K and every
+circumscribed one B <= Q_K, so B = Q_K in closed form.
 
 A smooth body (a scaled normal: lp balls with 1 < p < inf and their
 images) runs an exchange of supporting slabs on the inscribed path: the
@@ -30,8 +31,8 @@ bound a facet body that contains K, whose minimizer is a lower bound;
 each round adds slabs where that minimizer pokes out of K, and its path
 starts warm from the last round's.  No LP runs.  Once none pokes out,
 slab rounds from its contacts (as below) pin the directions of the form
-that the contacts leave flat.  Its circumscribed path (and an ellipsoidal
-body's) adds each round every scanned maximum of x^T B x above 1 + tol_feas.
+that the contacts leave flat.  Its circumscribed path adds each round
+every scanned maximum of x^T B x above 1 + tol_feas.
 
 Vertex polytopes run a cutting-plane loop on svec(B)
 (`certificates._svec`, the coordinates of the path and the certificate):
@@ -149,10 +150,11 @@ class SolveReport:
 class DualReport:
     """Outcome of `solve_u_bar`; `gap` is the relative duality gap
     g = t (n + m) / tr X of the last center the path reached (None before
-    the first), on scanned bodies (1 + g) sqrt(max) - 1, max the full
-    scan's maximum of x^T B x, so that I <= I_true <= I (1 + gap).  When
-    the supremum is not attained, `null_space` has orthonormal rows
-    spanning the null space of the limit form, `degenerate_direction` first."""
+    the first, 0 for an ellipsoidal body's closed form), on scanned bodies
+    (1 + g) sqrt(max) - 1, max the full scan's maximum of x^T B x, so that
+    I <= I_true <= I (1 + gap).  When the supremum is not attained,
+    `null_space` has orthonormal rows spanning the null space of the limit
+    form, `degenerate_direction` first."""
 
     status: str  # "attained" | "non_attained" | "max_cuts_reached"
     i_value: float
@@ -740,8 +742,10 @@ def _optimal_face(v, end: _PathEnd):
 def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) -> DualReport:
     """Circumscribed ellipsoids maximizing the mean-square gauge over E.
 
-    Bodies with extreme points run the central path over them; bodies
-    with a quadric or smooth boundary over a point set that each round
+    An ellipsoidal body {x : x^T Q_K x <= 1} is its own maximizer, as
+    every F containing it has Q_F <= Q_K: `attained`, I = M_E(K), gap 0,
+    in closed form.  Bodies with extreme points run the central path over
+    them; bodies with a smooth boundary over a point set that each round
     grows by the descent endpoints of a cheap boundary scan (`_violations`,
     n multistarts) with x^T B x > 1 + cfg.tol_feas, or, if it finds none,
     of the full scan, which otherwise confirms B; B is then divided by the
@@ -760,6 +764,11 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
         raise ValueError("dimension mismatch between body and ellipsoid")
     if cfg.max_cuts < 1:
         raise ValueError("max_cuts must be at least 1")
+    if body.quadric_form is not None:
+        k = make_ellipsoid(body.quadric_form)
+        return DualReport(status="attained", i_value=m_ellipsoid(e, k), maximizer=k,
+                          degenerate_direction=None, null_space=None, uniqueness="unknown",
+                          second=None, gap=0.0)
     n, exact, steps = body.dim, body.extreme_points is not None, 0
     points = body.extreme_points if exact else np.array(_initial_cuts(body, cfg.seed + 17).points)
     worst, rounds, cheap, full = 1.0, 0, 0, 0

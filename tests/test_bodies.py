@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -62,10 +63,42 @@ def test_vertex_gauge_dense_and_sparse_batches_agree(generators):
     assert whole[7] == 0.0
 
 
+def _dual_norm(theta, p):
+    """||theta||_q for q = p / (p - 1), with max |theta_i| factored out."""
+    a = np.abs(theta)
+    if p == 1.0:
+        return a.max()
+    if np.isinf(p):
+        return a.sum()
+    q = p / (p - 1.0)
+    return a.max() * np.sum((a / a.max()) ** q) ** (1.0 / q)
+
+
 def test_support_examples():
-    assert abs(square_h().support([1.0, 1.0]) - 2.0) < 1e-8
+    # support is defined once, as the polar body's gauge: closed forms to
+    # 1e-12, and to 1e-9 where that gauge is a vertex LP (a facet body's polar)
+    assert abs(square_h().support([1.0, 1.0]) - 2.0) <= 1e-9 * 2.0
     assert abs(cross_v(2).support([1.0, 1.0]) - 1.0) < 1e-12
     assert abs(ef.LpBall(2, 2.0, 2).support([0.0, 3.0]) - 6.0) < 1e-12
+    rng = np.random.default_rng(8)
+    thetas = list(rng.standard_normal((6, 2))) + [np.array([2e3, 1.0])]
+    assert 101 * np.log(2e3) > np.log(np.finfo(float).max)  # |2e3|^101 overflows
+    t = np.array([[1.0, 0.4], [-0.3, 0.9]])
+    cases = [(square_h(), 1e-9, lambda th: np.abs(th).sum()),
+             (cross_v(2), 1e-12, lambda th: np.abs(th).max()),
+             (ef.LinearImage(t, square_h()), 1e-9, lambda th: np.abs(t.T @ th).sum()),
+             (ef.linear_image(t, ef.LpBall(3, 1.5, 2)), 1e-12,
+              lambda th: 1.5 * _dual_norm(t.T @ th, 3.0))]
+    for p, radius in [(1, 1.0), (1.01, 1.0), (1.01, 1e-3), (1.01, 1e3), (3, 2.0), (np.inf, 0.5)]:
+        cases.append((ef.LpBall(p, radius, 2), 1e-12,
+                      lambda th, p=p, radius=radius: radius * _dual_norm(th, p)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for body, rtol, closed in cases:
+            for theta in thetas:
+                want = closed(theta)
+                assert abs(body.support(theta) - want) <= rtol * want, (body, theta)
+            assert body.support(np.zeros(2)) == 0.0
 
 
 def test_support_is_polar_norm():
@@ -277,9 +310,18 @@ def test_body_json_roundtrip():
     bodies = [square_h(), cross_v(2), ef.LpBall(np.inf, 2.0, 3),
               ef.LpBall(1.5, 1.0, 2),
               ef.LinearImage([[2.0, 0.0], [0.0, 1.0]], ef.LpBall(3, 1.0, 2))]
+    # the documents as each variant writes them, key order included
+    docs = ['{"dim": 2, "type": "polytope_h", "facets": [[1.0, 0.0], [0.0, 1.0]]}',
+            '{"dim": 2, "type": "polytope_v", "generators": [[1.0, 0.0], [0.0, 1.0]]}',
+            '{"dim": 3, "type": "lp_ball", "p": "inf", "radius": 2.0}',
+            '{"dim": 2, "type": "lp_ball", "p": 1.5, "radius": 1.0}',
+            '{"dim": 2, "type": "linear_image", "matrix": [[2.0, 0.0], [0.0, 1.0]], '
+            '"inner": {"dim": 2, "type": "lp_ball", "p": 3.0, "radius": 1.0}}']
     rng = np.random.default_rng(7)
-    for body in bodies:
+    for body, doc in zip(bodies, docs):
+        assert json.dumps(ef.body_to_json(body)) == doc
         back = ef.body_from_json(ef.body_to_json(body))
+        assert type(back) is type(body) and json.dumps(ef.body_to_json(back)) == doc
         for _ in range(10):
             x = rng.standard_normal(body.dim)
             assert abs(back.norm(x) - body.norm(x)) < 1e-10
@@ -298,6 +340,22 @@ def test_body_json_rejects_bad_documents():
     with pytest.raises(ValueError):
         ef.body_from_json({"dim": 2, "type": "polytope_h",
                            "facets": [[1, 0], [2, 0]]})  # does not span
+
+
+@pytest.mark.parametrize("doc", [
+    {"dim": True, "type": "lp_ball", "p": 2, "radius": 1},
+    {"dim": 2, "type": "lp_ball", "p": True, "radius": 1},
+    {"dim": 2, "type": "lp_ball", "p": 1, "radius": True},
+    {"dim": 2, "type": "lp_ball", "p": False, "radius": 1},
+    {"dim": True, "type": "polytope_h", "facets": [[1.0]]},
+    {"dim": 2, "type": "linear_image", "matrix": [[1, 0], [0, 1]],
+     "inner": {"dim": 2, "type": "lp_ball", "p": 2, "radius": True}},
+], ids=["dim", "p", "radius", "p_false", "dim_1d_facets", "nested_radius"])
+def test_body_json_rejects_booleans_as_numbers(doc):
+    # JSON true and false are Python bools, and bool is an int: unchecked,
+    # "p": true built the l1 ball and "radius": true the unit ball
+    with pytest.raises(ValueError):
+        ef.body_from_json(doc)
 
 
 def test_construction_rejects_degenerate_inputs():

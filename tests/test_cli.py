@@ -102,6 +102,19 @@ def test_invalid_body_exits_1(files, capsys):
     assert main(["compute-u", "--body", files["square"]]) == 1  # missing argument
 
 
+@pytest.mark.parametrize("kind, doc", [
+    ("body", {"dim": True, "type": "lp_ball", "p": 2, "radius": 1}),
+    ("body", {"dim": 2, "type": "lp_ball", "p": True, "radius": 1}),
+    ("body", {"dim": 2, "type": "lp_ball", "p": 2, "radius": True}),
+    ("ellipsoid", {"dim": True, "Q": [[1]]}),
+], ids=["dim", "p", "radius", "ellipsoid_dim"])
+def test_boolean_numbers_exit_1(files, kind, doc):
+    path = files["dir"] / "boolean.json"
+    path.write_text(json.dumps(doc))
+    body, ellipsoid = (str(path), files["ball"]) if kind == "body" else (files["square"], str(path))
+    assert main(["j-value", "--body", body, "--ellipsoid", ellipsoid]) == 1
+
+
 def test_certify_paths(files):
     good = str(files["dir"] / "good_candidate.json")
     with open(good, "w") as fh:
@@ -218,6 +231,17 @@ def test_facet_and_quadric_commands_load_no_scipy(files):
     cert = _read(str(files["dir"] / "cold_certify.json"))
     assert cert["verdict"] == "verified" and cert["residual"] <= 1e-12
     assert abs(_read(str(files["dir"] / "cold_l15.json"))["J"] - 2.0 ** (1.0 / 6.0)) <= 1e-12
+
+
+def test_dual_on_an_ellipsoidal_body_is_closed_form(files):
+    # the image of the 3-ball is its own maximizer: I = M_E(K) = sqrt(5/6), gap 0, no scipy
+    out = str(files["dir"] / "cold_dual_image.json")
+    assert _fresh_cli(["dual", "--body", files["image"], "--ellipsoid", files["ball3"],
+                       "--out", out]) == {"code": 0, "scipy": []}
+    doc = _read(out)
+    assert (doc["status"], doc["gap"], doc["uniqueness"]) == ("attained", 0.0, "unknown")
+    assert abs(doc["i_value"] - np.sqrt(5.0 / 6.0)) <= 1e-15
+    assert np.max(np.abs(np.array(doc["Q"]) - _read(files["own"])["Q"])) <= 1e-15
 
 
 def test_lp_paths_import_highs_on_first_use(files):

@@ -174,3 +174,5 @@ def test_ellipsoid_json_roundtrip():
         ef.ellipsoid_from_json({"dim": 2, "Q": [[1, 0.5], [0, 1]]})
     with pytest.raises(ef.NotPositiveDefiniteError):
         ef.ellipsoid_from_json({"dim": 2, "Q": [[1, 0], [0, 0]]})
+    with pytest.raises(ValueError):  # JSON true is a bool, and so an int: it read as dim 1
+        ef.ellipsoid_from_json({"dim": True, "Q": [[1.0]]})

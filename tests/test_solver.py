@@ -166,6 +166,26 @@ def test_dual_ball_unique():
     assert rep.uniqueness == "unknown"
 
 
+@pytest.mark.parametrize("body, e, q, i_value", [
+    (ef.LpBall(2, 1.0, 2), BALL2, np.eye(2), 1.0),
+    (ef.linear_image([[1.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]], ef.LpBall(2, 1.0, 3)),
+     ef.unit_ball(3), [[1.0, -0.5, 0.0], [-0.5, 0.5, 0.0], [0.0, 0.0, 1.0]], np.sqrt(5.0 / 6.0)),
+], ids=["ball2", "image3"])
+def test_dual_ellipsoidal_body_is_its_own_maximizer(monkeypatch, body, e, q, i_value):
+    # every F containing K = {x^T Q_K x <= 1} has Q_F <= Q_K, so the maximizer
+    # is K in closed form: no path, no scan, gap exactly 0
+    def unused(*args, **kwargs):
+        raise AssertionError("the closed form runs no path and no scan")
+
+    monkeypatch.setattr(solver_module, "_central_path", unused)
+    monkeypatch.setattr(solver_module, "_violations", unused)
+    rep = ef.solve_u_bar(body, e)
+    assert (rep.status, rep.uniqueness, rep.gap) == ("attained", "unknown", 0.0)
+    assert abs(rep.i_value - i_value) <= 1e-15
+    assert np.max(np.abs(rep.maximizer.q - np.array(q))) <= 1e-15
+    assert rep.second is None and rep.null_space is None
+
+
 def test_dual_rejects_facet_polytopes():
     with pytest.raises(ef.UnsupportedBodyError):
         ef.solve_u_bar(square_h(), BALL2)
