@@ -218,22 +218,23 @@ class LpBall(ConvexBody):
         super().__init__(int(dim))
         self.p = p
         self.radius = float(radius)
-        # largest |x_i| whose p-th powers, summed over a row, stay finite
-        self._power_safe = (np.finfo(float).max / dim) ** (1.0 / p)
 
     def norm_many(self, pts):
-        if not 1.0 < self.p < np.inf:  # sums or maxima of |x_i|: no power to overflow
-            return np.linalg.norm(pts, ord=self.p, axis=1) / self.radius
-        if np.abs(pts).max(initial=0.0) <= self._power_safe:
-            out = np.linalg.norm(pts, ord=self.p, axis=1) / self.radius
-        else:
-            with np.errstate(over="ignore"):
-                out = np.linalg.norm(pts, ord=self.p, axis=1) / self.radius
-        if not (out.min(initial=1.0) > 0.0 and out.max(initial=0.0) < np.inf):
-            # |x_i|^p over- or underflowed: those rows again with max |x_i| factored out
-            bad = ~np.isfinite(out) | ((out == 0.0) & np.any(pts, axis=1))
-            top = np.max(np.abs(pts[bad]), axis=1, keepdims=True)
-            out[bad] = top[:, 0] * np.linalg.norm(pts[bad] / top, ord=self.p, axis=1) / self.radius
+        """||x||_p / radius of every row from |x| in one pass: the row max, or
+        the row sum (a matmul with ones) of |x|^p and its root; rows whose
+        powers over- or underflow go again with max |x_i| factored out."""
+        a, p = np.abs(pts), self.p
+        if p == np.inf:
+            return a.max(axis=1, initial=0.0) / self.radius
+        ones = np.ones(a.shape[1])
+        if p == 1.0:
+            return a @ ones / self.radius
+        with np.errstate(over="ignore"):
+            out = (a**p @ ones) ** (1.0 / p) / self.radius
+            if not (out.min(initial=1.0) > 0.0 and out.max(initial=0.0) < np.inf):
+                bad = ~np.isfinite(out) | ((out == 0.0) & np.any(a, axis=1))
+                top = a[bad].max(axis=1, keepdims=True)
+                out[bad] = top[:, 0] * ((a[bad] / top) ** p @ ones) ** (1.0 / p) / self.radius
         return out
 
     def polar(self):
@@ -337,7 +338,7 @@ class LinearImage(ConvexBody):
         if inner is None:
             return None
         t_inv = self.matrix_inv
-        return lambda x: t_inv.T @ inner(t_inv @ x)
+        return lambda x: inner(x @ t_inv.T) @ t_inv  # a point or rows of points
 
 
 def boundary_point(body: ConvexBody, direction) -> np.ndarray:
@@ -417,10 +418,21 @@ def direction_net(dim: int, size: int | None = None) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+def _quad(x: np.ndarray, form: np.ndarray) -> np.ndarray:
+    """x^T Q x for every row x, by matmuls: on the scans' 2-4 wide rows an
+    einsum or an axis-1 sum costs several times more."""
+    return (x @ form * x) @ np.ones(x.shape[1])
+
+
+def _unit(x: np.ndarray) -> np.ndarray:
+    """The rows of x scaled to unit Euclidean length."""
+    return x / np.sqrt((x * x) @ np.ones(x.shape[1]))[:, None]
+
+
 def _boundary_values(body: ConvexBody, form: np.ndarray, dirs: np.ndarray):
     """The boundary points x = dir / gauge(dir) and x^T Q x at them."""
     x = dirs / norm_many(body, dirs)[:, None]
-    return x, np.einsum("ij,jk,ik->i", x, form, x)
+    return x, _quad(x, form)
 
 
 def _net_boundary(body: ConvexBody, size: int | None) -> np.ndarray:
@@ -433,26 +445,28 @@ def _net_boundary(body: ConvexBody, size: int | None) -> np.ndarray:
 
 
 def _pattern_descent(body, form, starts, sense, rounds):
-    """Batched derivative-free descent of sense * x^T Q x over boundary
-    directions.  Deterministic; returns refined unit directions."""
-    pts = starts / np.linalg.norm(starts, axis=1, keepdims=True)
-    n = pts.shape[1]
-    step = np.full(pts.shape[0], 0.35)
+    """Batched compass search of sense * x^T Q x over boundary directions:
+    each round takes one gauge batch of the moves +-step e_i (step 0.35 at
+    first) from every start; a start moves, in place, to its best candidate
+    if that gains over 1e-15, else its step shrinks by 0.6.  Stops once every
+    step is below 1e-8.  Deterministic; returns refined unit directions."""
+    pts = _unit(starts)
+    k, n = pts.shape
+    rows = np.arange(k)
+    step = np.full(k, 0.35)
     best = sense * _boundary_values(body, form, pts)[1]
+    moves = np.concatenate([np.eye(n), -np.eye(n)])  # (2n, n)
     for _ in range(rounds):
-        if np.all(step < 1e-8):
+        if step.max() < 1e-8:
             break
-        moves = np.concatenate([np.eye(n), -np.eye(n)])  # (2n, n)
-        cand = pts[:, None, :] + step[:, None, None] * moves[None, :, :]
-        cand = cand.reshape(-1, n)
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        vals = (sense * _boundary_values(body, form, cand)[1]).reshape(pts.shape[0], 2 * n)
+        cand = _unit((pts[:, None, :] + step[:, None, None] * moves).reshape(-1, n))
+        vals = (sense * _boundary_values(body, form, cand)[1]).reshape(k, 2 * n)
         idx = np.argmin(vals, axis=1)
-        improved = vals[np.arange(pts.shape[0]), idx] < best - 1e-15
-        chosen = cand.reshape(pts.shape[0], 2 * n, n)[np.arange(pts.shape[0]), idx]
-        pts = np.where(improved[:, None], chosen, pts)
-        best = np.where(improved, vals[np.arange(pts.shape[0]), idx], best)
-        step = np.where(improved, step, step * 0.6)
+        low = vals[rows, idx]
+        improved = low < best - 1e-15
+        pts[improved] = cand.reshape(k, 2 * n, n)[rows[improved], idx[improved]]
+        best[improved] = low[improved]
+        step[~improved] *= 0.6
     return pts
 
 
@@ -475,11 +489,9 @@ def boundary_quadratic_scan(body: ConvexBody, form: np.ndarray, sense: int = 1, 
     net_pts = _net_boundary(body, net_size)
     rng = np.random.default_rng(_SCAN_SEED)
     count = 64 * n if starts is None else starts
-    g = rng.standard_normal((count, n))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    net_vals = np.einsum("ij,jk,ik->i", net_pts, form, net_pts)
-    top = net_pts[np.argsort(sense * net_vals)[: max(8, n * 4)]]
-    top = top / np.linalg.norm(top, axis=1, keepdims=True)
+    g = _unit(rng.standard_normal((count, n)))
+    net_vals = _quad(net_pts, form)
+    top = _unit(net_pts[np.argsort(sense * net_vals)[: max(8, n * 4)]])
     refined = _pattern_descent(body, form, np.vstack([g, top]), sense, rounds)
     refined, refined_vals = _boundary_values(body, form, refined)
     pts = np.vstack([net_pts, refined])
@@ -529,7 +541,7 @@ def _boundary_extremum(body: ConvexBody, form: np.ndarray, sense: int, chol=None
         return float(1.0 / t[j]), d[j] / np.max(np.abs(facets @ d[j])), "exact"
     pts = body.extreme_points
     if sense < 0 and pts is not None:
-        vals = np.einsum("ij,jk,ik->i", pts, form, pts)
+        vals = _quad(pts, form)
         i = int(np.argmax(vals))
         return float(vals[i]), pts[i], "exact"
     if body.quadric_form is not None:

@@ -462,7 +462,7 @@ def _exchange_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveR
     rounds = steps = scans = pins = 0
     end = stop = None
     while stop is None:
-        outer = PolytopeH([white.scaled_normal(x) for x in points])
+        outer = PolytopeH(white.scaled_normal(points))
         rep, end = _facet_path(outer, ball, cfg, None if end is None else end.root)
         rounds, steps = rounds + 1, steps + end.steps
         touch = contact_points(outer, ball, rep.minimizer, 1e-9)

@@ -3,10 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ellipfit as ef
 from ellipfit import bodies
-from util import cross_h, cross_v, rand_polytope_h, rectangle_h, square_h
+from util import cross_h, cross_v, cube_v_rows, rand_polytope_h, rectangle_h, square_h
 
 
 def test_norm_square():
@@ -101,16 +103,20 @@ def test_support_examples():
             assert body.support(np.zeros(2)) == 0.0
 
 
-def test_support_is_polar_norm():
+def test_support_is_the_vertex_maximum():
+    # h_K(theta) = max_k |theta . v_k| over the vertex pairs +-v_k of a
+    # polytope, whichever form it is given in; to 1e-9 where support is a
+    # vertex LP (the polar of a facet body)
     rng = np.random.default_rng(1)
-    bodies = [square_h(), rectangle_h(), cross_v(2), ef.LpBall(3, 2.0, 2),
-              ef.linear_image([[1.0, 0.5], [0.0, 1.0]], cross_h(2))]
-    for body in bodies:
-        dual = ef.polar(body)
-        for _ in range(20):
-            theta = rng.standard_normal(2)
-            assert abs(body.support(theta) - dual.norm(theta)) <= 1e-8 * (
-                1.0 + abs(body.support(theta)))
+    t = np.array([[1.0, 0.5], [0.0, 1.0]])
+    w = rng.standard_normal((5, 3))
+    cases = [(square_h(), cube_v_rows(2)), (rectangle_h(), [[2.0, 1.0], [2.0, -1.0]]),
+             (cross_v(2), np.eye(2)), (ef.linear_image(t, cross_h(2)), t.T),
+             (cross_h(3), np.eye(3)), (ef.PolytopeV(w), w)]
+    for body, vertices in cases:
+        for theta in rng.standard_normal((20, body.dim)):
+            want = np.max(np.abs(np.asarray(vertices) @ theta))
+            assert abs(body.support(theta) - want) <= 1e-9 * want, (body, theta)
 
 
 def test_boundary_point_examples():
@@ -129,14 +135,25 @@ def test_polar_examples():
     assert isinstance(b, ef.LpBall) and np.isinf(b.p) and b.radius == 1.0
 
 
-def test_polar_linear_image_by_duality_sampling():
+def test_support_of_an_image_is_the_inner_support_at_the_transpose():
+    # h_TK(theta) = h_K(T^T theta), in closed form for each inner body; no
+    # boundary point of a fine net of TK exceeds it, and the net comes close
+    t2 = np.array([[2.0, 0.5], [0.0, 1.0]])
+    t3 = np.array([[1.0, 0.3, 0.0], [-0.2, 0.9, 0.4], [0.1, 0.0, 1.5]])
+    cases = [(ef.linear_image(t2, square_h()), 1e-9, lambda th: np.abs(t2.T @ th).sum()),
+             (ef.LinearImage(t2, cross_v(2)), 1e-12, lambda th: np.abs(t2.T @ th).max()),
+             (ef.LinearImage(t2, ef.LpBall(3, 1.5, 2)), 1e-12,
+              lambda th: 1.5 * _dual_norm(t2.T @ th, 3.0)),
+             (ef.LinearImage(t3, ef.LpBall(4, 1.0, 3)), 1e-12,
+              lambda th: _dual_norm(t3.T @ th, 4.0))]
     rng = np.random.default_rng(2)
-    body = ef.linear_image(np.diag([2.0, 1.0]), square_h())
-    dual = ef.polar(body)
-    for _ in range(100):
-        theta = rng.standard_normal(2)
-        assert abs(dual.norm(theta) - body.support(theta)) <= 1e-8 * (
-            1.0 + abs(body.support(theta)))
+    for body, rtol, closed in cases:
+        net = bodies.direction_net(body.dim, 20000)
+        net /= ef.norm_many(body, net)[:, None]
+        for theta in rng.standard_normal((20, body.dim)):
+            want, sampled = closed(theta), np.max(np.abs(net @ theta))
+            assert abs(body.support(theta) - want) <= rtol * want, (body, theta)
+            assert want * (1.0 - 2e-3) <= sampled <= want * (1.0 + 1e-12), (body, theta)
 
 
 def test_bipolar_identity():
@@ -439,3 +456,75 @@ def test_lp_gauge_and_normal_survive_extreme_exponents():
     pts = np.random.default_rng(3).standard_normal((20, 3))
     assert np.array_equal(ef.norm_many(ef.LpBall(3, 2.0, 3), pts),
                           np.linalg.norm(pts, ord=3, axis=1) / 2.0)
+
+
+def test_image_scaled_normal_takes_a_point_or_rows():
+    # one expression serves both: rows k = n and k != n give the per-row
+    # normals, each supporting at its point (h . x = 1)
+    t3 = np.array([[1.0, 0.3, 0.0], [-0.2, 0.9, 0.4], [0.1, 0.0, 1.5]])
+    rng = np.random.default_rng(9)
+    for body in (ef.linear_image([[2.0, 0.5], [0.0, 1.0]], ef.LpBall(3, 1.0, 2)),
+                 ef.linear_image(t3, ef.LpBall(1.5, 2.0, 3)),
+                 ef.LinearImage(t3, ef.LinearImage(t3.T, ef.LpBall(4, 1.0, 3)))):
+        for k in (body.dim, body.dim + 1, 5):
+            dirs = rng.standard_normal((k, body.dim))
+            x = dirs / ef.norm_many(body, dirs)[:, None]
+            h = body.scaled_normal(x)
+            rows = np.array([body.scaled_normal(p) for p in x])
+            assert np.all(np.abs(h - rows) <= 1e-14 * np.abs(rows).max(axis=1, keepdims=True))
+            assert np.all(np.abs(np.sum(h * x, axis=1) - 1.0) <= 1e-12)
+
+
+_EPS = np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), k=st.integers(1, 40),
+       p=st.sampled_from([1.0, 1.5, 3.0, 4.0, 101.0, np.inf]), log_scale=st.floats(0.0, 200.0))
+def test_scan_kernels_match_einsum_and_linalg_norm(seed, n, k, p, log_scale):
+    # rows scaled by up to 10^(+-log_scale), so |x_i|^p over- and underflows;
+    # where np.linalg.norm then reads inf or 0, the reference is np.linalg.norm
+    # of the row with max |x_i| factored out
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((k, n))
+    x[rng.random(x.shape) < 0.1] = 0.0
+    g = rng.standard_normal((n, n))
+    q = g + g.T
+    bound = 4 * n * _EPS
+    exact = np.einsum("ij,jk,ik->i", x, q, x)
+    scale = ((np.abs(x) @ np.abs(q)) * np.abs(x)).sum(1)  # |x|^T |Q| |x|
+    assert np.all(np.abs(bodies._quad(x, q) - exact) <= bound * scale)
+    live = np.any(x, axis=1)
+    unit = x[live] / np.linalg.norm(x[live], axis=1, keepdims=True)
+    assert np.all(np.abs(bodies._unit(x[live]) - unit) <= bound)
+    wide = x * 10.0 ** rng.uniform(-log_scale, log_scale, (k, 1))
+    with np.errstate(over="ignore"):
+        ref = np.linalg.norm(wide, ord=p, axis=1) / 0.7
+    lost = ~np.isfinite(ref) | ((ref == 0.0) & np.any(wide, axis=1))
+    top = np.abs(wide[lost]).max(axis=1, keepdims=True)
+    ref[lost] = top[:, 0] * np.linalg.norm(wide[lost] / top, ord=p, axis=1) / 0.7
+    got = ef.LpBall(p, 0.7, n).norm_many(wide)
+    assert np.all(np.abs(got - ref) <= bound * ref), (got, ref)
+
+
+# (p, T, Q, min, max) of x^T Q x over the boundary of T B_p as the scan read
+# them with einsum and np.linalg.norm kernels; its matmul kernels must agree
+# to 1e-14
+_PINNED_SCANS = [
+    (1.5, [[2.0, 0.5], [0.0, 1.0]], [[1.3, 0.2], [0.2, 0.7]],
+     0.5158613144220744, 5.32836786444558),
+    (3.0, [[1.0, 0.3, 0.0], [-0.2, 0.9, 0.4], [0.1, 0.0, 1.5]],
+     [[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 0.6]],
+     0.899846415650557, 3.3263258289220063),
+    (4.0, [[0.8, -0.6], [0.6, 0.8]], [[1.0, 0.4], [0.4, 3.0]],
+     1.2806211521518827, 4.346309198845615),
+]
+
+
+@pytest.mark.parametrize("p, t, q, low, high", _PINNED_SCANS)
+def test_scan_extremum_is_pinned(p, t, q, low, high):
+    body = ef.linear_image(t, ef.LpBall(p, 1.0, len(t)))
+    for sense, want in ((1, low), (-1, high)):
+        value, x, method = bodies._boundary_extremum(body, np.array(q), sense)
+        assert method == "sampled" and abs(value - want) <= 1e-14 * want, (sense, value)
+        assert abs(body.norm(x) - 1.0) <= 1e-12
