@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,31 +48,54 @@ class VerifyResult:
     certificate: Certificate | None
 
 
+class _Packing(NamedTuple):
+    """Gather indices and weights of the packed coordinates in one
+    dimension n: entry i of _svec(m) is m[rows[i], cols[i]] * weight[i],
+    the diagonal first, then the upper triangle by rows, with weight
+    sqrt(2) off the diagonal, so the 2-norm of the packed vector equals
+    the Frobenius norm of the matrix; `flat` indexes the flattened matrix.
+    The flattened _smat(v, n) is v[place] / div, div = 1 on the diagonal
+    and sqrt(2) off it."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    weight: np.ndarray
+    flat: np.ndarray
+    place: np.ndarray
+    div: np.ndarray
+
+
 @functools.cache
-def _pairs(n: int):
-    """np.triu_indices(n, k=1), one index set per dimension."""
-    return np.triu_indices(n, k=1)
+def _packing(n: int) -> _Packing:
+    """The `_Packing` of dimension n, built once and shared, so read-only."""
+    p, q = np.triu_indices(n, k=1)
+    rows, cols = np.concatenate([np.arange(n), p]), np.concatenate([np.arange(n), q])
+    weight = np.concatenate([np.ones(n), np.full(p.size, np.sqrt(2.0))])
+    place = np.empty((n, n), dtype=np.intp)
+    place[rows, cols] = place[cols, rows] = np.arange(rows.size)
+    pack = _Packing(rows, cols, weight, rows * n + cols, place.ravel(), weight[place.ravel()])
+    for array in pack:
+        array.setflags(write=False)
+    return pack
 
 
 def _svec(m: np.ndarray) -> np.ndarray:
-    # Off-diagonal entries scaled by sqrt(2): the 2-norm of the packed
-    # vector equals the Frobenius norm of the matrix.
-    p, q = _pairs(m.shape[0])
-    return np.concatenate([np.diag(m), np.sqrt(2.0) * m[p, q]])
+    pack = _packing(m.shape[0])
+    return np.take(m, pack.flat) * pack.weight
 
 
 def _svec_dyads(points: np.ndarray) -> np.ndarray:
     """Row k is _svec(outer(x_k, x_k)) for row x_k of `points`."""
-    p, q = _pairs(points.shape[1])
-    return np.hstack([points * points, np.sqrt(2.0) * (points[:, p] * points[:, q])])
+    pack = _packing(points.shape[1])
+    # take keeps the rows C-ordered (an index array on axis 1 would not), so
+    # later BLAS products with the result sum in the same order
+    return points.take(pack.rows, 1) * points.take(pack.cols, 1) * pack.weight
 
 
 def _smat(v: np.ndarray, n: int) -> np.ndarray:
     """The symmetric n x n matrix m with _svec(m) == v."""
-    p, q = _pairs(n)
-    m = np.diag(v[:n]).astype(float)
-    m[p, q] = m[q, p] = v[n:] / np.sqrt(2.0)
-    return m
+    pack = _packing(n)
+    return (v[pack.place] / pack.div).reshape(n, n)
 
 
 def contact_points(body: ConvexBody, e: Ellipsoid, f: Ellipsoid, tol: float) -> np.ndarray:

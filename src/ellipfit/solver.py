@@ -56,6 +56,7 @@ contacts.  A final rescale makes containment exact.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,7 +65,7 @@ from .bodies import (ConvexBody, PolytopeH, PolytopeV, _net_boundary, body_in_el
                      boundary_form_max, boundary_point, boundary_quadratic_scan,
                      canonical_pair, contains_ellipsoid, fold_merge, linear_image, norm_many,
                      polar)
-from .certificates import _pairs, _smat, _svec, _svec_dyads, contact_points
+from .certificates import _packing, _smat, _svec, _svec_dyads, contact_points
 from .ellipsoids import Ellipsoid, form_distance, m_ellipsoid, make_ellipsoid, unit_ball
 from .numerics import (LpProblem, NotPositiveDefiniteError, cholesky, factor_cholesky, inv_sqrt,
                        solve_lp, sym_eigen)
@@ -134,7 +135,9 @@ class SolveReport:
     its contacts.  Vertex
     polytopes run the cutting-plane loop: `cuts` are its boundary-point
     cuts, `gap` is None and `lp_iterations` counts the LP solves over all
-    restarts.
+    restarts.  `steps` counts the Newton steps of every central path the
+    solve ran (the slab refinement's, on the cutting-plane loop), 0 for
+    the closed form.
     """
 
     minimizer: Ellipsoid
@@ -144,6 +147,7 @@ class SolveReport:
     active_cuts: np.ndarray  # cuts with x^T Q_F x = 1 within 10*tol_feas
     lp_iterations: int  # LP solves, not simplex iterations
     gap: float | None
+    steps: int  # Newton steps of every central path the solve ran
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,8 @@ class DualReport:
     (1 + g) sqrt(max) - 1, max the full scan's maximum of x^T B x, so that
     I <= I_true <= I (1 + gap).  When the supremum is not attained,
     `null_space` has orthonormal rows spanning the null space of the limit
-    form, `degenerate_direction` first."""
+    form, `degenerate_direction` first.  `steps` counts the Newton steps
+    of every round's central path, 0 for the closed form."""
 
     status: str  # "attained" | "non_attained" | "max_cuts_reached"
     i_value: float
@@ -164,6 +169,7 @@ class DualReport:
     uniqueness: str  # "unknown" | "multiple_found"
     second: Ellipsoid | None
     gap: float | None
+    steps: int  # Newton steps of every central path the solve ran
 
 
 @dataclass(frozen=True)
@@ -283,6 +289,7 @@ def _cut_loop(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig, seed: int):
 # contacts, projected radially onto the boundary of K, are the next x_j.
 
 _REFINE_ROUNDS = 30  # cap on slab rounds, which converge linearly
+_REFINE_STALL = 5  # rounds without a new smallest move between forms that end them
 
 
 def _vrep_facet_normal(body, x):
@@ -319,21 +326,27 @@ def _slab_rounds(body, normal, e, points, cfg, start=None):
     """Supporting-slab rounds (above) from the boundary points `points`,
     with slab normals `normal(x)` (None skips a point), each outer body
     solved by `_facet_path`.  Stops once successive forms agree to 1e-15
-    relative, or after _REFINE_ROUNDS rounds.  Each path starts cold, or,
-    given the factor `start`, warm from it and then from the last round's
-    end.  Returns the last round's report, the rounds run and the Newton
-    steps spent, or None when the slabs do not span."""
-    rep, steps = None, 0
+    relative, once their distance has made no new minimum for
+    _REFINE_STALL rounds (near p = 2 the rounds contract at a rate near
+    p - 1, so round-off ends their progress), or after _REFINE_ROUNDS
+    rounds.  Each path starts cold, or, given the factor `start`, warm
+    from it and then from the last round's end.  Returns the last round's
+    report (None when the slabs do not span), the rounds run and the
+    Newton steps spent."""
+    rep, steps, least, stalled = None, 0, np.inf, 0
     for rounds in range(1, _REFINE_ROUNDS + 1):
         try:
             outer = PolytopeH([h for h in map(normal, points) if h is not None])
         except ValueError:
-            return None
+            return None, rounds - 1, steps
         last = rep
         rep, end = _facet_path(outer, e, cfg, start)
         steps, start = steps + end.steps, None if start is None else end.root
-        if last is not None and form_distance(rep.minimizer, last.minimizer) <= 1e-15:
-            break
+        if last is not None:
+            moved = form_distance(rep.minimizer, last.minimizer)
+            least, stalled = (moved, 0) if moved < least else (least, stalled + 1)
+            if moved <= 1e-15 or stalled >= _REFINE_STALL:
+                break
         points = contact_points(outer, e, rep.minimizer, 1e-9)
         points /= norm_many(body, points)[:, None]
     return rep, rounds, steps
@@ -344,17 +357,18 @@ def _refine(body, e, b0, cfg):
     with slab normals on a 2-d vertex polytope from `_vrep_facet_normal`
     (contacts at a vertex are skipped).  b0 is kept on other bodies, when
     the slabs do not span or when the refined form pokes out of the body
-    by more than 10 * tol_feas."""
+    by more than 10 * tol_feas.  Returns the form and the Newton steps
+    spent."""
     if not (isinstance(body, PolytopeV) and body.dim == 2):
-        return b0
+        return b0, 0
     points = contact_points(body, e, make_ellipsoid(b0), max(1e-3, 100.0 * cfg.tol_feas))
-    done = _slab_rounds(body, functools.partial(_vrep_facet_normal, body), e, points, cfg)
+    done, _, steps = _slab_rounds(body, functools.partial(_vrep_facet_normal, body), e, points, cfg)
     if done is None:
-        return b0
-    f = done[0].minimizer
+        return b0, steps
+    f = done.minimizer
     if contains_ellipsoid(body, f, cfg.tol_feas).worst_margin < -10.0 * cfg.tol_feas:
-        return b0
-    return f.q
+        return b0, steps
+    return f.q, steps
 
 
 def _finalize(body, e, b, cfg):
@@ -366,11 +380,12 @@ def _finalize(body, e, b, cfg):
     return make_ellipsoid(b)
 
 
-def _report(e, minimizer, status, cuts, lp_iterations, gap, cfg) -> SolveReport:
+def _report(e, minimizer, status, cuts, lp_iterations, gap, steps, cfg) -> SolveReport:
     vals = np.einsum("ij,jk,ik->i", cuts, minimizer.q, cuts)
     active = cuts[np.abs(vals - 1.0) <= 10.0 * cfg.tol_feas]
     return SolveReport(minimizer=minimizer, j_value=m_ellipsoid(e, minimizer), status=status,
-                       cuts=cuts, active_cuts=active, lp_iterations=lp_iterations, gap=gap)
+                       cuts=cuts, active_cuts=active, lp_iterations=lp_iterations, gap=gap,
+                       steps=steps)
 
 
 def _quadric_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveReport:
@@ -380,7 +395,7 @@ def _quadric_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveRe
     eigenvalues) certify it and are the cuts."""
     minimizer = make_ellipsoid(body.quadric_form)
     # W Q_K W = I up to round-off, so any tol below 1 keeps every direction
-    return _report(e, minimizer, "optimal", contact_points(body, e, minimizer, 0.5), 0, 0.0, cfg)
+    return _report(e, minimizer, "optimal", contact_points(body, e, minimizer, 0.5), 0, 0.0, 0, cfg)
 
 
 def _facet_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveReport:
@@ -411,7 +426,8 @@ def _facet_path(body, e, cfg, start=None):
     done = end.gap is not None and end.gap <= _PATH_GAP[-1]
     cuts = facets @ minimizer.q_inv
     cuts /= norm_many(body, cuts)[:, None]
-    return _report(e, minimizer, "optimal" if done else "max_cuts_reached", cuts, 0, gap, cfg), end
+    status = "optimal" if done else "max_cuts_reached"
+    return _report(e, minimizer, status, cuts, 0, gap, end.steps, cfg), end
 
 
 # --------------------------------------------------------------------------
@@ -472,12 +488,14 @@ def _exchange_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveR
         ends, low = _violations(white, rep.minimizer.q, 1, n)
         scans, full = scans + 1, False
         if not len(new) and not len(ends) and rep.status == "optimal":
-            pinned = _slab_rounds(white, white.scaled_normal, ball, touch, cfg, end.root)
-            if pinned is not None and pinned[0].status == "optimal":
-                pins, steps, scans = pins + pinned[1], steps + pinned[2], scans + 1
-                pin_ends, pin_low = _violations(white, pinned[0].minimizer.q, 1, None)
+            pinned, pin_rounds, pin_steps = _slab_rounds(white, white.scaled_normal, ball, touch,
+                                                         cfg, end.root)
+            pins, steps = pins + pin_rounds, steps + pin_steps
+            if pinned is not None and pinned.status == "optimal":
+                pin_ends, pin_low = _violations(white, pinned.minimizer.q, 1, None)
+                scans += 1
                 if not len(pin_ends):
-                    rep, low, full, stop = pinned[0], pin_low, True, "converged"
+                    rep, low, full, stop = pinned, pin_low, True, "converged"
                     break
             ends, low = _violations(white, rep.minimizer.q, 1, None)
             scans, full = scans + 1, True
@@ -500,7 +518,7 @@ def _exchange_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveR
         "gap %s, stop %s", rounds, len(points), pins, steps, scans, gap, stop)
     done = stop == "converged" and rep.status == "optimal"
     return _report(e, minimizer, "optimal" if done else "max_cuts_reached",
-                   np.linalg.solve(e.chol.T, points.T).T, 0, gap, cfg)
+                   np.linalg.solve(e.chol.T, points.T).T, 0, gap, steps, cfg)
 
 
 def solve_u(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) -> SolveReport:
@@ -531,12 +549,13 @@ def solve_u(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) ->
     if body.scaled_normal is not None:
         return _exchange_report(body, e, cfg)
     runs = []
-    total_lp = 0
+    total_lp = steps = 0
     for r in range(cfg.restarts):
         b, pool, lp_count, status = _cut_loop(body, e, cfg, cfg.seed + 7919 * r)
         total_lp += lp_count
         if status == "optimal":
-            b = _refine(body, e, b, cfg)
+            b, refine_steps = _refine(body, e, b, cfg)
+            steps += refine_steps
         runs.append((_finalize(body, e, b, cfg), pool.points, status))
     # uniqueness contract: completed restarts must land on the same form;
     # aborted runs only promise a feasible iterate and are exempt
@@ -549,7 +568,7 @@ def solve_u(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) ->
                     f"restarts {i} and {j} disagree by {d:.2e} (> 1e-4)")
     minimizer, points, _ = min(runs, key=lambda run: m_ellipsoid(e, run[0]))
     overall = "optimal" if all(run[2] == "optimal" for run in runs) else "max_cuts_reached"
-    return _report(e, minimizer, overall, np.array(points), total_lp, None, cfg)
+    return _report(e, minimizer, overall, np.array(points), total_lp, None, steps, cfg)
 
 
 def j_value(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) -> float:
@@ -606,58 +625,79 @@ def _path_step(v, root, s, t, power):
     with X -> R (I + Y) R^T so that vanishing eigenvalues of X keep their
     relative accuracy.  The objective enters only as its gradient G and
     curvature D - I in an orthonormal frame F of the columns of R: F = I,
-    G = R^T R / t and D = I for power 1; for -1, F is the eigenbasis of
-    R^T R, where G = (R^T R)^{-1} / t and D = 1 + g_i + g_j (svec) are
-    diagonal.  With a_k = svec(u_k u_k^T), u_k = F R^T v_k, the Hessian
+    G = R^T R / t and D = I for power 1, so neither F nor D enters; for
+    -1, F is the eigenbasis of R^T R, where G = (R^T R)^{-1} / t =
+    diag(g) and D = 1 + g_i + g_j (svec) are diagonal and enter as
+    vectors.  With a_k = svec(u_k u_k^T), u_k = F R^T v_k, the Hessian
     D + A^T diag(s^-2) A is inverted by an SVD of diag(1 / s) A D^{-1/2},
-    reduced once m >= n(n+1)/2.  The slacks move with the step, s - alpha A y
-    (recomputed from X, one near 1e-13 would keep few digits).  With
-    Y = V diag(y) V^T, e = [y, -A y / s] and m = diag(V^T G V) the slope of
-    phi is sum_i e_i / (1 + alpha e_i) + m_i y_i (1 + alpha y_i)^(power - 1),
-    decreasing; a safeguarded Newton search picks alpha.  R moves to
-    R (I + alpha Y)^{1/2} = R + R W diag((1 + alpha y)^{1/2} - 1) W^T,
-    W = F^T V, whose round-off scales with the step.  Returns (root, s,
-    decrement)."""
+    reduced once m >= n(n+1)/2.  svec(G + I), A and Y are packed through
+    the gather indices and weights `certificates._packing` keeps per
+    dimension, with the products of `_svec`, `_svec_dyads` and `_smat`.
+    The slacks move with the step, s - alpha A y (recomputed from X, one
+    near 1e-13 would keep few digits).  With Y = V diag(y) V^T,
+    e = [y, -A y / s] and m = diag(V^T G V) the slope of phi is
+    sum_i e_i / (1 + alpha e_i) + m_i y_i (1 + alpha y_i)^(power - 1),
+    decreasing, with a pole at alpha = 1 / top, top = -min e, where the
+    step reaches the boundary.  The line search starts at
+    min(1, 0.99 / top) and takes Newton steps on the slope inside the
+    bracket its signs have fixed, until the slope is 1e-9 of the sum of
+    its terms' magnitudes (or nonnegative at the start), 20 at most.
+    R moves to R (I + alpha Y)^{1/2} =
+    R + R W diag((1 + alpha y)^{1/2} - 1) W^T, W = F^T V, whose round-off
+    scales with the step.  Returns (root, s, decrement)."""
     n = root.shape[0]
-    p, q = _pairs(n)
-    eye = np.eye(n)
-    if power > 0:  # tr X / t
-        frame, basis, grad, scale = eye, root, root.T @ root / t, 1.0
-    else:  # -tr X^{-1} / t
+    if power > 0:  # tr X / t: F = I, D = I
+        grad = root.T @ root / t
+        x = v @ root
+        c = _svec(grad)
+        c[:n] += 1.0  # svec(G + I)
+    else:  # -tr X^{-1} / t: G and D diagonal in the frame
         _, sig, frame = np.linalg.svd(root)  # R^T R = F^T diag(sig^2) F
         mw = 1.0 / (t * sig * sig)
-        basis, grad = root @ frame.T, np.diag(mw)
-        scale = np.sqrt(1.0 + np.concatenate([2.0 * mw, mw[p] + mw[q]]))  # D^{1/2}
-    a = _svec_dyads(v @ basis)
+        scale = np.sqrt(1.0 + np.take(mw[:, None] + mw, _packing(n).flat))  # D^{1/2}
+        x = v @ (root @ frame.T)
+        c = np.zeros(scale.size)
+        c[:n] = mw + 1.0  # svec(G + I)
+    a = _svec_dyads(x)
     inv = 1.0 / s
-    h = (_svec(grad + eye) - a.T @ inv) / scale
-    _, sv, vt = np.linalg.svd(a * inv[:, None] / scale, full_matrices=a.shape[0] < a.shape[1])
-    den = np.ones(vt.shape[0])
-    den[:sv.size] += sv * sv
-    z = vt.T @ ((vt @ h) / den)  # D^{1/2} y
-    y = z / scale  # the slacks move by the same y as the form
+    h = c - a.T @ inv
+    lhs = a * inv[:, None]
+    if power < 0:
+        h /= scale
+        lhs /= scale
+    _, sv, vt = np.linalg.svd(lhs, full_matrices=a.shape[0] < a.shape[1])
+    z = vt @ h
+    z[:sv.size] /= 1.0 + sv * sv  # (I + S^2)^{-1} on the rows of vt, I beyond them
+    z = vt.T @ z  # D^{1/2} y
+    y = z if power > 0 else z / scale  # the slacks move by the same y as the form
     ay = a @ y
     ratio = ay * inv
-    decrement = float(np.sqrt(z @ z + ratio @ ratio))
+    decrement = math.sqrt(z @ z + ratio @ ratio)
     yvals, yvecs = np.linalg.eigh(_smat(y, n))
     e = np.concatenate([yvals, -ratio])
-    me = np.zeros(e.size)
-    me[:n] = ((grad @ yvecs) * yvecs).sum(0) * yvals  # m_i y_i, 0 on the slack entries
-    top = -e.min()  # the step reaches the boundary at 1 / top
+    me = np.zeros(e.size)  # m_i y_i, 0 on the slack entries
+    # reductions run as ufunc methods, without the Python layer of ndarray.sum and .min
+    if power > 0:
+        me[:n] = np.add.reduce((grad @ yvecs) * yvecs) * yvals
+    else:
+        me[:n] = np.add.reduce(mw[:, None] * yvecs * yvecs) * yvals
+    top = -np.minimum.reduce(e)  # the step reaches the boundary at 1 / top
     lo, hi = 0.0, 1.0 if top <= 0.99 else 0.99 / top
     alpha = hi
     for _ in range(20):
         grow = 1.0 + alpha * e
         pe = e / grow
-        obj = me * grow ** (power - 1)
+        obj = me if power > 0 else me * grow ** (power - 1)
         terms = pe + obj  # the slope of phi is their sum
-        slope = terms.sum()
-        if (slope >= 0 and alpha == hi) or abs(slope) <= 1e-9 * np.abs(terms).sum():
+        slope = np.add.reduce(terms)
+        if (slope >= 0 and alpha == hi) or abs(slope) <= 1e-9 * np.add.reduce(np.abs(terms)):
             break
         lo, hi = (alpha, hi) if slope > 0 else (lo, alpha)
-        alpha = min(max(alpha + slope / (pe @ pe + (1 - power) * (obj @ pe)), lo), hi)
-    turn = frame.T @ yvecs
-    root = root + (root @ turn) * (alpha * yvals / (1.0 + np.sqrt(1.0 + alpha * yvals))) @ turn.T
+        curve = pe @ pe if power > 0 else pe @ pe + (1 - power) * (obj @ pe)
+        alpha = min(max(alpha + slope / curve, lo), hi)
+    turn = yvecs if power > 0 else frame.T @ yvecs
+    grow = alpha * yvals
+    root = root + (root @ turn) * (grow / (1.0 + np.sqrt(1.0 + grow))) @ turn.T
     return root, s - alpha * ay, decrement
 
 
@@ -694,7 +734,8 @@ def _central_path(v, max_steps, power, start=None) -> _PathEnd:
     s = 1.0 - share * lev / lev.max()
 
     def objective(root):  # tr X^power = |R^power|_F^2
-        return float(np.sum(np.linalg.matrix_power(root, power) ** 2))
+        r = root if power > 0 else np.linalg.inv(root)
+        return float(np.sum(r * r))
 
     t = gap * objective(root) / (n + m)
     gap = settled = None
@@ -768,7 +809,7 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
         k = make_ellipsoid(body.quadric_form)
         return DualReport(status="attained", i_value=m_ellipsoid(e, k), maximizer=k,
                           degenerate_direction=None, null_space=None, uniqueness="unknown",
-                          second=None, gap=0.0)
+                          second=None, gap=0.0, steps=0)
     n, exact, steps = body.dim, body.extreme_points is not None, 0
     points = body.extreme_points if exact else np.array(_initial_cuts(body, cfg.seed + 17).points)
     worst, rounds, cheap, full = 1.0, 0, 0, 0
@@ -793,7 +834,7 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
     gap = end.gap if exact or end.gap is None else (1.0 + end.gap) * np.sqrt(scale) - 1.0
     report = dict(i_value=float(np.sqrt(np.trace(x) / n / scale)), maximizer=None,
                   degenerate_direction=None, null_space=None, uniqueness="unknown",
-                  second=None, gap=gap)
+                  second=None, gap=gap, steps=steps)
     if not exact:
         import logging  # here, so that a process that solves no smooth body never loads it
         logging.getLogger("ellipfit").debug(

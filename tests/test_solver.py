@@ -563,9 +563,12 @@ def test_path_step_ascends_and_tracks_the_slacks(power):
     # keeps X strictly feasible, never lowers phi_t, and moves the tracked
     # slacks with the factor
     rng = np.random.default_rng(41)
-    for _ in range(24):
-        n = int(rng.integers(2, 5))
-        v = rng.standard_normal((int(rng.integers(n, n + 9)), n))
+    for k in range(24):
+        n = int(rng.integers(2, 7))
+        # m below the n(n+1)/2 form entries (full SVD) and at or above them (reduced SVD)
+        entries = n * (n + 1) // 2
+        m = int(rng.integers(n, entries) if k % 2 else rng.integers(entries, entries + 6))
+        v = rng.standard_normal((m, n))
         start = solver_module._central_path(v, 0, power)
         root, s = start.root, start.s
         t = start.t * 10.0 ** rng.uniform(-3.0, 0.0)
@@ -587,6 +590,52 @@ def test_solve_u_bar_cube_10():
     rep = ef.solve_u_bar(ef.LpBall(np.inf, 1.0, 10), ef.unit_ball(10))
     assert rep.status == "attained" and rep.uniqueness == "multiple_found"
     assert abs(rep.i_value - 1.0 / np.sqrt(10.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_solve_u_cross_polytope_ladder(n):
+    # 2^(n-1) facets against n(n+1)/2 form entries: the reduced SVD of the
+    # inscribed step; the minimizer is the inscribed ball of radius
+    # 1/sqrt(n), so J = sqrt(n)
+    rep = ef.solve_u(ef.LpBall(1, 1.0, n), ef.unit_ball(n))
+    assert rep.status == "optimal" and rep.gap <= 1e-14
+    assert abs(rep.j_value - np.sqrt(n)) <= 1e-14 * np.sqrt(n)
+
+
+@pytest.mark.parametrize("solve, body", [
+    (ef.solve_u, cube_h(3)),
+    (ef.solve_u, ef.LpBall(1.5, 1.0, 2)),
+    (ef.solve_u_bar, cross_v(2)),
+    (ef.solve_u_bar, ef.LpBall(3, 1.0, 2)),
+    (ef.solve_u, ef.LpBall(2, 1.0, 3)),
+    (ef.solve_u_bar, ef.LpBall(2, 1.0, 3)),
+], ids=["facet", "smooth", "vertex_dual", "smooth_dual", "ellipsoidal", "ellipsoidal_dual"])
+def test_reports_count_every_newton_step(monkeypatch, solve, body):
+    calls = []
+    step = solver_module._path_step
+
+    def counting(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(solver_module, "_path_step", counting)
+    rep = solve(body, ef.unit_ball(body.dim))
+    assert rep.steps == len(calls)
+    assert (rep.steps == 0) == (body.quadric_form is not None)
+
+
+def test_pinning_rounds_stop_once_they_stall(caplog):
+    # near p = 2 the pinning rounds contract at a rate near p - 1, so their
+    # moves between forms fall to round-off and stop shrinking; the rounds
+    # end once no move has set a new minimum for 5 rounds, short of their
+    # cap of 30, and J keeps its accuracy
+    n, p = 3, 1.99
+    with caplog.at_level(logging.DEBUG, logger="ellipfit"):
+        rep = ef.solve_u(ef.LpBall(p, 1.0, n), ef.unit_ball(n))
+    message = [r for r in caplog.records if r.name == "ellipfit"][-1].getMessage()
+    pins = int(message.split(" pinning rounds")[0].rsplit(" ", 1)[1])
+    assert rep.status == "optimal" and pins <= 15, message
+    assert abs(rep.j_value - n ** (1.0 / p - 0.5)) <= 1e-13
 
 
 def test_facet_solves_ignore_seed_and_restarts():
