@@ -12,7 +12,8 @@ whose unit ball is the body), the polar body, linear images and the JSON
 form, plus whatever exact structure it has (a facet form, extreme points,
 a quadric or a smooth boundary normal), computed on first use and kept.
 The support function is the polar body's gauge.  A boundary-point map and
-the ellipsoid containment test (the solvers' separation oracle) sit on top.
+the ellipsoid containment test (the solvers' separation oracle) sit on top,
+on the boundary scan of x^T Q x where no closed form exists.
 
 Facet and vertex data use the symmetric convention (each row stands for a
 +- pair), so symmetry holds by construction.
@@ -80,10 +81,10 @@ class ConvexBody:
       normal to the boundary at x and n(x) . x = 1 there (the gradient of
       the gauge, Euler-scaled)
 
-    The body also keeps the boundary points of the scan's direction nets
-    and the result of its last `boundary_quadratic_scan`, so a repeated
-    scan (containment, then contact finding, of one form) costs nothing;
-    the kept arrays are read-only.
+    The body also keeps its `polar_body`, its scans' net boundary points,
+    effort (`scan_effort`) and last result, so a repeated scan
+    (containment, then contact finding, of one form) costs nothing; the
+    kept arrays are read-only.
     """
 
     facet_form = None
@@ -99,6 +100,7 @@ class ConvexBody:
         self.boundary_nets: dict = {}
         # (arguments, points, values) of the last boundary_quadratic_scan
         self.last_scan: tuple | None = None
+        self.scan_effort = [0, 0]  # ascent rounds and compass-search starts of its scans
 
     def norm(self, x) -> float:
         return float(norm_many(self, np.asarray(x, dtype=float)[None])[0])
@@ -107,9 +109,14 @@ class ConvexBody:
         """Gauge of every row of the 2-d float array `pts`."""
         raise NotImplementedError
 
+    @cached_property
+    def polar_body(self) -> ConvexBody:
+        """`polar()`, built once and kept."""
+        return self.polar()
+
     def support(self, theta) -> float:
         """max of theta . x over the body, the gauge of the polar body at theta."""
-        return self.polar().norm(theta)
+        return self.polar_body.norm(theta)
 
     def linear_image(self, t: np.ndarray) -> ConvexBody:
         """T K for an `invertible_map` T."""
@@ -454,6 +461,7 @@ def _pattern_descent(body, form, starts, sense, rounds):
     k, n = pts.shape
     rows = np.arange(k)
     step = np.full(k, 0.35)
+    body.scan_effort[1] += k
     best = sense * _boundary_values(body, form, pts)[1]
     moves = np.concatenate([np.eye(n), -np.eye(n)])  # (2n, n)
     for _ in range(rounds):
@@ -470,16 +478,53 @@ def _pattern_descent(body, form, starts, sense, rounds):
     return pts
 
 
+def _normal_ascent(body, form, starts, sense, rounds):
+    """Generalized power method (Journee, Nesterov, Richtarik & Sepulchre
+    2010) for sense * x^T Q x on the boundary, batched: a minimum climbs the
+    gauge g over {z^T Q z = 1} by x <- z / g(z), z = Q^{-1} grad g(x); a
+    maximum the polar gauge h over {y^T Q^{-1} y = 1} by x <- grad h(Q x),
+    the support point (grad g, grad h: `scaled_normal` of the body and its
+    polar).  Convex gauges, so no round loses value.  A start settles once
+    it moves by under 1e-12 of its length; it is slow if a move below 1e-2
+    exceeds 0.9 times the last, or if it is unsettled after `rounds` rounds.
+    Returns the boundary points and the mask of the slow starts."""
+    x = starts / norm_many(body, starts)[:, None]
+    ones, live = np.ones(x.shape[1]), np.arange(len(x))
+    last, slow = np.full(len(x), np.inf), np.zeros(len(x), dtype=bool)  # squared relative moves
+    inv, polar = (np.linalg.inv(form), None) if sense > 0 else (None, body.polar_body)
+    for _ in range(rounds):
+        if not live.size:
+            break
+        body.scan_effort[0] += 1
+        old = x[live]
+        if sense > 0:
+            z = body.scaled_normal(old) @ inv
+            x[live] = z / norm_many(body, z)[:, None]
+        else:
+            y = old @ form
+            x[live] = polar.scaled_normal(y / norm_many(polar, y)[:, None])
+        move = (x[live] - old) ** 2 @ ones / ((old * old) @ ones)
+        slow[live] = (move > 0.81 * last[live]) & (move < 1e-4)
+        last[live] = move
+        live = live[(move > 1e-24) & ~slow[live]]
+    slow[live] = True
+    return x, slow
+
+
 def boundary_quadratic_scan(body: ConvexBody, form: np.ndarray, sense: int = 1, *,
                             net_size: int | None = None, starts: int | None = None,
                             rounds: int = 48):
     """Sampled extremum of x^T Q x over the body boundary.
 
-    sense=+1 searches the minimum, sense=-1 the maximum.  Returns
-    (points, values): the boundary points of all candidate directions
-    considered (net plus multistart descent refinements) and x^T Q x at
-    them.  Deterministic, so the body keeps the last result: a repeated
-    call with the same arguments returns the same read-only arrays.
+    sense=+1 searches the minimum (Q positive definite on a body with a
+    normal), sense=-1 the maximum.  Multistarts (`starts` seeded
+    directions, 64n by default, and the best net points) are refined by
+    `_normal_ascent` on a body with a `scaled_normal`, its slow starts and
+    every start on other bodies by `_pattern_descent`, each for at most
+    `rounds` rounds.  Returns (points, values): the boundary points of the
+    net and the refined starts, and x^T Q x at them.  Deterministic, so the
+    body keeps the last result: a repeated call with the same arguments
+    returns the same read-only arrays.
     """
     form = np.asarray(form, dtype=float)
     key = (form.tobytes(), sense, net_size, starts, rounds)
@@ -492,7 +537,12 @@ def boundary_quadratic_scan(body: ConvexBody, form: np.ndarray, sense: int = 1, 
     g = _unit(rng.standard_normal((count, n)))
     net_vals = _quad(net_pts, form)
     top = _unit(net_pts[np.argsort(sense * net_vals)[: max(8, n * 4)]])
-    refined = _pattern_descent(body, form, np.vstack([g, top]), sense, rounds)
+    refined = np.vstack([g, top])
+    slow = np.ones(len(refined), dtype=bool)
+    if body.scaled_normal is not None:
+        refined, slow = _normal_ascent(body, form, refined, sense, rounds)
+    if slow.any():
+        refined[slow] = _pattern_descent(body, form, refined[slow], sense, rounds)
     refined, refined_vals = _boundary_values(body, form, refined)
     pts = np.vstack([net_pts, refined])
     vals = np.concatenate([net_vals, refined_vals])
@@ -562,8 +612,8 @@ def contains_ellipsoid(body: ConvexBody, ellipsoid, tol: float, *,
     Containment is equivalent to x^T Q x >= 1 on the whole body boundary,
     so the verdict reads the boundary minimum of `_boundary_extremum`:
     exact for facet forms (h^T Q^{-1} h <= 1 per facet) and ellipsoidal
-    bodies, a direction net plus multistart descent otherwise.  The
-    witness is the boundary point where that minimum lies.
+    bodies, `boundary_quadratic_scan` otherwise.  The witness is the
+    boundary point where that minimum lies.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

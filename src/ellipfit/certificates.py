@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bodies import (ConvexBody, boundary_quadratic_scan, contains_ellipsoid,
-                     facet_margins, fold_merge)
-from .ellipsoids import Ellipsoid
+                     facet_margins, fold_merge, linear_image)
+from .ellipsoids import Ellipsoid, ellipsoid_linear_image, unit_ball
 from .numerics import inv_sqrt, solve_nnls, sym_eigen
 
 VERIFIED = "verified"
@@ -160,12 +160,20 @@ def verify_u(body: ConvexBody, e: Ellipsoid, f: Ellipsoid, tol: float) -> Verify
 
     Verified exactly when F sits inside the body (within tol) and the
     contact points of F with the body carry an isotropy certificate with
-    relative residual at most 100 * tol.
+    relative residual at most 100 * tol.  A scanned smooth body is scanned
+    whitened, L^T F in L^T K against the unit ball (Q_E = L L^T), once for
+    containment and contacts, which are mapped back.
     """
-    verdict = contains_ellipsoid(body, f, tol)
+    white, g, metric = body, f, e
+    if body.scaled_normal is not None and body.quadric_form is None:
+        white, metric = linear_image(e.chol.T, body), unit_ball(e.dim)
+        g = ellipsoid_linear_image(e.chol.T, f)
+    verdict = contains_ellipsoid(white, g, tol)
     if not verdict.contained:
         return VerifyResult(FAILED_CONTAINMENT, float("nan"), None)
-    pts = contact_points(body, e, f, tol)
+    pts = contact_points(white, metric, g, tol)
+    if white is not body:
+        pts = np.linalg.solve(e.chol.T, pts.T).T
     if pts.shape[0] == 0:
         empty = Certificate(points=pts, weights=np.empty(0), residual=1.0, metric=e)
         return VerifyResult(FAILED_ISOTROPY, 1.0, empty)

@@ -438,12 +438,12 @@ def _facet_path(body, e, cfg, start=None):
 # pokes out of K, until the scan finds it poking out nowhere.
 
 _EXCHANGE_VIOLATION = 1e-13  # gauge excess or form deficit that earns a point its slab
-_EXCHANGE_DESCENT = 96  # descent rounds of its scans; 48 fell short on rotated 4-d balls
-_CHEAP_DESCENT = 48  # descent rounds of the cheap scans of `solve_u_bar`, which a full scan backs
+_EXCHANGE_DESCENT = 96  # cap on the ascent rounds of its scans (and compass rounds of slow starts)
+_CHEAP_DESCENT = 48  # the same cap for the cheap scans of `solve_u_bar`, which a full scan backs
 
 
 def _violations(body, form, sense, starts, tol=_EXCHANGE_VIOLATION, rounds=_EXCHANGE_DESCENT):
-    """Descent endpoints of the boundary scan of x^T Q x (`starts` multistarts,
+    """Refined endpoints of the boundary scan of x^T Q x (`starts` multistarts,
     None for the default) more than tol below 1 (sense 1, a minimum) or
     above it (-1, a maximum), most violated first, and the scan's extremum."""
     pts, vals = boundary_quadratic_scan(body, form, sense, starts=starts, rounds=rounds)
@@ -459,7 +459,7 @@ def _exchange_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveR
     is warm-started from the last.  Each round solves the slab body for F,
     then looks for new slab points: F's contacts with the slab body,
     projected radially onto the boundary of K, where their gauge exceeds
-    1 + _EXCHANGE_VIOLATION, and the violated descent endpoints of a cheap
+    1 + _EXCHANGE_VIOLATION, and the violated refined endpoints of a cheap
     boundary scan of Q_F (n multistarts besides the scan's 4n best net
     points; 4n multistarts took as many rounds).  When neither finds one,
     F's form is pinned: it is only held to second order along directions
@@ -515,7 +515,8 @@ def _exchange_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveR
 
     logging.getLogger("ellipfit").debug(
         "smooth exchange: %d rounds, %d slabs, %d pinning rounds, %d Newton steps, %d scans, "
-        "gap %s, stop %s", rounds, len(points), pins, steps, scans, gap, stop)
+        "%d ascent rounds, %d compass starts, gap %s, stop %s", rounds, len(points), pins, steps,
+        scans, *white.scan_effort, gap, stop)
     done = stop == "converged" and rep.status == "optimal"
     return _report(e, minimizer, "optimal" if done else "max_cuts_reached",
                    np.linalg.solve(e.chol.T, points.T).T, 0, gap, steps, cfg)
@@ -787,7 +788,7 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
     every F containing it has Q_F <= Q_K: `attained`, I = M_E(K), gap 0,
     in closed form.  Bodies with extreme points run the central path over
     them; bodies with a smooth boundary over a point set that each round
-    grows by the descent endpoints of a cheap boundary scan (`_violations`,
+    grows by the refined endpoints of a cheap boundary scan (`_violations`,
     n multistarts) with x^T B x > 1 + cfg.tol_feas, or, if it finds none,
     of the full scan, which otherwise confirms B; B is then divided by the
     full scan's maximum (if above 1).  Facet-only bodies raise
@@ -798,7 +799,7 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
     smooth body).  cfg.max_cuts caps the Newton steps of all rounds; out
     of budget, I is that of the scaled iterate (a lower bound).  A scanned
     body's solve leaves a debug record on the `ellipfit` logger: rounds,
-    points, Newton steps, scans, gap and stop reason."""
+    points, Newton steps, scans and their effort, gap and stop reason."""
     if body.extreme_points is None and body.quadric_form is None and body.scaled_normal is None:
         raise UnsupportedBodyError("circumscribed solve needs extreme points or a smooth boundary")
     if e.dim != body.dim:
@@ -810,7 +811,7 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
         return DualReport(status="attained", i_value=m_ellipsoid(e, k), maximizer=k,
                           degenerate_direction=None, null_space=None, uniqueness="unknown",
                           second=None, gap=0.0, steps=0)
-    n, exact, steps = body.dim, body.extreme_points is not None, 0
+    n, exact, steps, effort = body.dim, body.extreme_points is not None, 0, list(body.scan_effort)
     points = body.extreme_points if exact else np.array(_initial_cuts(body, cfg.seed + 17).points)
     worst, rounds, cheap, full = 1.0, 0, 0, 0
     while True:
@@ -839,7 +840,8 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
         import logging  # here, so that a process that solves no smooth body never loads it
         logging.getLogger("ellipfit").debug(
             "smooth circumscribed solve: %d rounds, %d points, %d Newton steps, %d cheap scans, "
-            "%d full scans, gap %s, stop %s", rounds, len(v), steps, cheap, full, gap,
+            "%d full scans, %d ascent rounds, %d compass starts, gap %s, stop %s", rounds, len(v),
+            steps, cheap, full, *np.subtract(body.scan_effort, effort), gap,
             "converged" if done else "budget")
     if not done:
         return DualReport(status="max_cuts_reached", **report)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import ellipfit as ef
 from ellipfit import bodies
-from util import cross_h, cross_v, cube_v_rows, rand_polytope_h, rectangle_h, square_h
+from util import (cross_h, cross_v, cube_v_rows, rand_invertible, rand_polytope_h, rand_spd_ellipsoid,
+                  rectangle_h, square_h)
 
 
 def test_norm_square():
@@ -507,17 +508,25 @@ def test_scan_kernels_match_einsum_and_linalg_norm(seed, n, k, p, log_scale):
     assert np.all(np.abs(got - ref) <= bound * ref), (got, ref)
 
 
-# (p, T, Q, min, max) of x^T Q x over the boundary of T B_p as the scan read
-# them with einsum and np.linalg.norm kernels; its matmul kernels must agree
-# to 1e-14
+# (p, T, Q, min, max) of x^T Q x over the boundary of T B_p, each from a
+# KKT solve in mpmath at 40 digits, rounded to the nearest double: with
+# M = T^T Q T and ||u||_p = 1, Newton on M u = mu s(u), s(u) = sign(u) |u|^(p-1),
+# in the unknowns u (p > 2) or s(u) (p < 2, where u = sign(s) |s|^(1/(p-1))
+# stays smooth), from the scan's point; the extremum is mu = u^T M u, and
+# KKT solves from the best of 200000 random boundary points found none
+# beyond it.  The scan must agree to 1e-14.  p = 1.01 and p = 100 put
+# |u|^(p-1) and the polar body's |y|^(q-1) near 1e-30, where the normals
+# under- and overflow.
+_T3 = [[1.0, 0.3, 0.0], [-0.2, 0.9, 0.4], [0.1, 0.0, 1.5]]
+_Q3 = [[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 0.6]]
 _PINNED_SCANS = [
     (1.5, [[2.0, 0.5], [0.0, 1.0]], [[1.3, 0.2], [0.2, 0.7]],
-     0.5158613144220744, 5.32836786444558),
-    (3.0, [[1.0, 0.3, 0.0], [-0.2, 0.9, 0.4], [0.1, 0.0, 1.5]],
-     [[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 0.6]],
-     0.899846415650557, 3.3263258289220063),
+     0.5158613144220745, 5.328367864445578),
+    (3.0, _T3, _Q3, 0.8998464156505556, 3.326325828922055),
     (4.0, [[0.8, -0.6], [0.6, 0.8]], [[1.0, 0.4], [0.4, 3.0]],
-     1.2806211521518827, 4.346309198845615),
+     1.2806211521518833, 4.346309198845615),
+    (1.01, _T3, _Q3, 0.30032098802729335, 1.954),
+    (100.0, _T3, _Q3, 0.9281901899166554, 6.553824021790803),
 ]
 
 
@@ -528,3 +537,41 @@ def test_scan_extremum_is_pinned(p, t, q, low, high):
         value, x, method = bodies._boundary_extremum(body, np.array(q), sense)
         assert method == "sampled" and abs(value - want) <= 1e-14 * want, (sense, value)
         assert abs(body.norm(x) - 1.0) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
+       p=st.sampled_from([1.01, 1.3, 1.5, 3.0, 4.0, 8.0, 100.0]), sense=st.sampled_from([1, -1]))
+def test_normal_ascent_climbs_to_stationary_points(seed, n, p, sense):
+    # no start loses value, and a settled one is a KKT point of x^T Q x on
+    # the boundary: a minimum where the body's normal is parallel to Q x, a
+    # maximum where x is the support point of Q x, the polar body's normal
+    # there (near a corner of the p = 1.01 ball the body's own normal turns
+    # too fast to tell)
+    rng = np.random.default_rng(seed)
+    body = ef.linear_image(rand_invertible(rng, n, cond=10.0), ef.LpBall(p, 1.0, n))
+    q = rand_spd_ellipsoid(rng, n, cond=10.0).q
+    starts = rng.standard_normal((32, n))
+    x, slow = bodies._normal_ascent(body, q, starts, sense, 96)
+    before, after = bodies._boundary_values(body, q, starts)[1], bodies._quad(x, q)
+    assert np.all(sense * (after - before) <= 1e-14 * before)
+    assert np.all(np.abs(body.norm_many(x) - 1.0) <= 1e-13)
+    if sense > 0:
+        pair = body.scaled_normal(x), x @ q
+    else:
+        y = x @ q
+        pair = body.polar_body.scaled_normal(y / body.polar_body.norm_many(y)[:, None]), x
+    normal, point = (bodies._unit(v[~slow]) for v in pair)
+    assert np.all(np.abs(normal - point) <= 1e-10), np.abs(normal - point).max()
+
+
+def test_compass_search_serves_only_bodies_without_a_normal(monkeypatch):
+    calls = []
+    descent = bodies._pattern_descent
+    monkeypatch.setattr(bodies, "_pattern_descent", lambda *args: calls.append(1) or descent(*args))
+    form = np.array([[1.0, 0.2], [0.2, 2.0]])
+    for sense in (1, -1):
+        bodies.boundary_quadratic_scan(ef.LpBall(3, 1.0, 2), form, sense)
+    assert not calls
+    bodies.boundary_quadratic_scan(ef.PolytopeV([[1.0, 0.2], [0.1, 1.0]]), form, -1)
+    assert len(calls) == 1

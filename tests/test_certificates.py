@@ -5,7 +5,7 @@ import ellipfit as ef
 from ellipfit import bodies, certificates
 from ellipfit.certificates import _svec, _svec_dyads
 from ellipfit.numerics import inv_sqrt
-from util import (cross_h, rand_polytope_h, rand_spd_ellipsoid, rectangle_h,
+from util import (cross_h, rand_invertible, rand_polytope_h, rand_spd_ellipsoid, rectangle_h,
                   square_h)
 
 
@@ -39,10 +39,11 @@ def test_contact_points_sampled_body():
 
 
 def test_verify_u_scans_the_candidate_once(monkeypatch):
-    # containment and contact finding read the same scan of Q_F, kept on the body
+    # containment and contact finding read the same scan of Q_F, kept on the body;
+    # on a body with a normal each scan runs one ascent
     calls = []
-    descent = bodies._pattern_descent
-    monkeypatch.setattr(bodies, "_pattern_descent", lambda *args: calls.append(1) or descent(*args))
+    ascent = bodies._normal_ascent
+    monkeypatch.setattr(bodies, "_normal_ascent", lambda *args: calls.append(1) or ascent(*args))
     ball = ef.unit_ball(3)  # the minimizer of the p=3 ball: it touches on the axes
     res = ef.verify_u(ef.LpBall(3, 1.0, 3), ball, ball, 1e-6)
     assert res.verdict == ef.VERIFIED and res.certificate.points.shape[0] == 3
@@ -70,6 +71,28 @@ def test_verify_u_examples():
     assert np.allclose(np.sort(res.certificate.weights), [0.25, 1.0])
     inflated = ef.make_ellipsoid(np.diag([0.25, 1.0]) / 1.01**2)  # axes grown 1%
     assert ef.verify_u(rectangle_h(), ball, inflated, 1e-6).verdict == ef.FAILED_CONTAINMENT
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_u_accepts_smooth_minimizers_under_anisotropic_maps(seed):
+    # 25 lp balls (p in [1.1, 1.8] or [2.2, 12], n = 2-3) mapped with their
+    # unit ball by a rand_invertible(cond=100) draw; the minimizer is the
+    # mapped ball of radius n^(1/2 - 1/p) for p < 2 and 1 for p > 2.  A scan
+    # in the body's own coordinates missed contacts of 32 of the 75; verify_u
+    # scans the body whitened by the reference, where every instance is a
+    # rotated lp ball against a round form.  Instance 24 of seed 0 is the CI
+    # step "Console script, anisotropic smooth certificate".
+    rng = np.random.default_rng(seed)
+    for i in range(25):
+        p = rng.uniform(1.1, 1.8) if rng.random() < 0.5 else rng.uniform(2.2, 12.0)
+        n = int(rng.integers(2, 4))
+        t = rand_invertible(rng, n, cond=100.0)
+        r = n ** (0.5 - 1.0 / p) if p < 2 else 1.0
+        body = ef.linear_image(t, ef.LpBall(p, 1.0, n))
+        e = ef.ellipsoid_linear_image(t, ef.unit_ball(n))
+        f = ef.ellipsoid_linear_image(t, ef.make_ellipsoid(np.eye(n) / r**2))
+        res = ef.verify_u(body, e, f, 1e-9)
+        assert res.verdict == ef.VERIFIED, (i, n, p, res.verdict, res.residual)
 
 
 def test_verify_u_soundness_on_solver_outputs():

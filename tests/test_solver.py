@@ -274,7 +274,7 @@ def test_smooth_dual_logs_one_debug_record(caplog):
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
     message = records[0].getMessage()
     for word in ("rounds", "points", "Newton steps", "cheap scans", "1 full scans",
-                 "stop converged"):
+                 "ascent rounds", ", 0 compass starts", "stop converged"):
         assert word in message
     assert f"gap {rep.gap}" in message
     assert not logging.getLogger("ellipfit").handlers
@@ -362,8 +362,8 @@ def test_smooth_exchange_logs_one_debug_record(caplog):
     records = [r for r in caplog.records if r.name == "ellipfit"]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
     message = records[0].getMessage()
-    for word in ("rounds", "slabs", "pinning rounds", "Newton steps", "scans", "gap",
-                 "stop converged"):
+    for word in ("rounds", "slabs", "pinning rounds", "Newton steps", "scans", "ascent rounds",
+                 ", 0 compass starts", "gap", "stop converged"):
         assert word in message
     assert f"gap {rep.gap}" in message
     assert not logging.getLogger("ellipfit").handlers  # the library adds none
