@@ -28,11 +28,13 @@ A smooth body (a scaled normal: lp balls with 1 < p < inf and their
 images) runs an exchange of supporting slabs on the inscribed path: the
 slabs of its supporting hyperplanes at finitely many boundary points
 bound a facet body that contains K, whose minimizer is a lower bound;
+the first slabs include those at the boundary minima of E's metric, and
 each round adds slabs where that minimizer pokes out of K, and its path
 starts warm from the last round's.  No LP runs.  Once none pokes out,
 slab rounds from its contacts (as below) pin the directions of the form
-that the contacts leave flat.  Its circumscribed path adds each round
-every scanned maximum of x^T B x above 1 + tol_feas.
+that the contacts leave flat.  Its circumscribed path starts at the
+boundary maxima of E's metric and adds each round every scanned maximum
+of x^T B x above 1 + tol_feas.
 
 Vertex polytopes run a cutting-plane loop on svec(B)
 (`certificates._svec`, the coordinates of the path and the certificate):
@@ -455,8 +457,10 @@ def _violations(body, form, sense, starts, tol=_EXCHANGE_VIOLATION, rounds=_EXCH
 def _exchange_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveReport:
     """The exchange above, run on the whitened body L^T K (Q_E = L L^T),
     where E is the unit ball, so the scans see every reference alike.  It
-    starts from the slabs at the `_initial_cuts` points; each round's path
-    is warm-started from the last.  Each round solves the slab body for F,
+    starts from the slabs at the `_initial_cuts` points and at the seeds,
+    the refined endpoints of one cheap scan of |x|^2 (the local minima,
+    where u_K's fixed point touches K), fold-merged; each round's path is
+    warm-started from the last.  Each round solves the slab body for F,
     then looks for new slab points: F's contacts with the slab body,
     projected radially onto the boundary of K, where their gauge exceeds
     1 + _EXCHANGE_VIOLATION, and the violated refined endpoints of a cheap
@@ -474,8 +478,9 @@ def _exchange_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveR
     n = body.dim
     white = linear_image(e.chol.T, body)
     ball = unit_ball(n)
-    points = np.array(_initial_cuts(white, cfg.seed).points)
-    rounds = steps = scans = pins = 0
+    seeds = fold_merge(_violations(white, np.eye(n), 1, n, -np.inf, _CHEAP_DESCENT)[0])
+    points = np.vstack([_initial_cuts(white, cfg.seed).points, seeds])
+    rounds, steps, scans, pins = 0, 0, 1, 0  # scans counts the seed scan
     end = stop = None
     while stop is None:
         outer = PolytopeH(white.scaled_normal(points))
@@ -514,9 +519,9 @@ def _exchange_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveR
     import logging  # here, so that a process that solves no smooth body never loads it
 
     logging.getLogger("ellipfit").debug(
-        "smooth exchange: %d rounds, %d slabs, %d pinning rounds, %d Newton steps, %d scans, "
-        "%d ascent rounds, %d compass starts, gap %s, stop %s", rounds, len(points), pins, steps,
-        scans, *white.scan_effort, gap, stop)
+        "smooth exchange: %d seed points, %d rounds, %d slabs, %d pinning rounds, %d Newton steps, "
+        "%d scans, %d ascent rounds, %d compass starts, gap %s, stop %s", len(seeds), rounds,
+        len(points), pins, steps, scans, *white.scan_effort, gap, stop)
     done = stop == "converged" and rep.status == "optimal"
     return _report(e, minimizer, "optimal" if done else "max_cuts_reached",
                    np.linalg.solve(e.chol.T, points.T).T, 0, gap, steps, cfg)
@@ -528,11 +533,12 @@ def solve_u(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) ->
     Ellipsoidal bodies are their own minimizer (closed form).  Bodies with
     a facet form run the inscribed central path once (no LP; it is
     deterministic, so cfg.restarts and cfg.seed do not apply), smooth
-    bodies the supporting-slab exchange on that path once (no LP; seeded
-    by cfg.seed), vertex polytopes the cutting-plane loop; cfg.max_cuts
-    caps the Newton steps of each path, the exchange's rounds and the LP
-    solves per restart, and box_R applies to the cutting-plane loop
-    only.  The minimizer is unique; the cutting-plane loop is repeated
+    bodies the supporting-slab exchange on that path once (no LP; started
+    at the `_initial_cuts` points, drawn with cfg.seed, and at the boundary
+    minima of E's metric), vertex polytopes the cutting-plane loop;
+    cfg.max_cuts caps the Newton steps of each path, the exchange's rounds
+    and the LP solves per restart, and box_R applies to the cutting-plane
+    loop only.  The minimizer is unique; the cutting-plane loop is repeated
     from cfg.restarts randomized seeds and the results must agree within
     1e-4 relative Frobenius distance, else RestartDisagreementError is
     raised.  The returned ellipsoid is contained in the body within
@@ -787,7 +793,10 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
     An ellipsoidal body {x : x^T Q_K x <= 1} is its own maximizer, as
     every F containing it has Q_F <= Q_K: `attained`, I = M_E(K), gap 0,
     in closed form.  Bodies with extreme points run the central path over
-    them; bodies with a smooth boundary over a point set that each round
+    them; bodies with a smooth boundary over a point set that starts at
+    the `_initial_cuts` points (seed cfg.seed + 17) and the fold-merged
+    refined endpoints of one cheap scan of x^T Q_E x (its local maxima,
+    where the fixed point of u_bar touches K), and each round
     grows by the refined endpoints of a cheap boundary scan (`_violations`,
     n multistarts) with x^T B x > 1 + cfg.tol_feas, or, if it finds none,
     of the full scan, which otherwise confirms B; B is then divided by the
@@ -798,8 +807,9 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
     (half way to the nearest inactive point or PSD boundary; checked on a
     smooth body).  cfg.max_cuts caps the Newton steps of all rounds; out
     of budget, I is that of the scaled iterate (a lower bound).  A scanned
-    body's solve leaves a debug record on the `ellipfit` logger: rounds,
-    points, Newton steps, scans and their effort, gap and stop reason."""
+    body's solve leaves a debug record on the `ellipfit` logger: seed
+    points, rounds, points, Newton steps, scans and their effort, gap and
+    stop reason."""
     if body.extreme_points is None and body.quadric_form is None and body.scaled_normal is None:
         raise UnsupportedBodyError("circumscribed solve needs extreme points or a smooth boundary")
     if e.dim != body.dim:
@@ -812,8 +822,10 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
                           degenerate_direction=None, null_space=None, uniqueness="unknown",
                           second=None, gap=0.0, steps=0)
     n, exact, steps, effort = body.dim, body.extreme_points is not None, 0, list(body.scan_effort)
-    points = body.extreme_points if exact else np.array(_initial_cuts(body, cfg.seed + 17).points)
-    worst, rounds, cheap, full = 1.0, 0, 0, 0
+    seeds = [] if exact else fold_merge(_violations(body, e.q, -1, n, -np.inf, _CHEAP_DESCENT)[0])
+    points = body.extreme_points if exact else np.vstack([_initial_cuts(body, cfg.seed + 17).points,
+                                                          seeds])
+    worst, rounds, cheap, full = 1.0, 0, 1, 0  # the seed scan is a cheap one
     while True:
         v = points @ e.chol
         end = _central_path(v, cfg.max_cuts - steps, 1)
@@ -839,10 +851,10 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
     if not exact:
         import logging  # here, so that a process that solves no smooth body never loads it
         logging.getLogger("ellipfit").debug(
-            "smooth circumscribed solve: %d rounds, %d points, %d Newton steps, %d cheap scans, "
-            "%d full scans, %d ascent rounds, %d compass starts, gap %s, stop %s", rounds, len(v),
-            steps, cheap, full, *np.subtract(body.scan_effort, effort), gap,
-            "converged" if done else "budget")
+            "smooth circumscribed solve: %d seed points, %d rounds, %d points, %d Newton steps, "
+            "%d cheap scans, %d full scans, %d ascent rounds, %d compass starts, gap %s, stop %s",
+            len(seeds), rounds, len(v), steps, cheap, full, *np.subtract(body.scan_effort, effort),
+            gap, "converged" if done else "budget")
     if not done:
         return DualReport(status="max_cuts_reached", **report)
     if null is not None:

@@ -241,15 +241,18 @@ def test_dual_accepts_bodies_by_structure():
 # Smooth circumscribed solves.  The maximizer over the unit ball of the
 # unit lp ball with p > 2 is the ball of radius n^(1/2 - 1/p), I = n^(1/p - 1/2).
 # The relaxation's form is divided by the full scan's maximum, so the body
-# is inside the answer, and its gap brackets I from above.
+# is inside the answer, and its gap brackets I from above.  The 6-d p = 3
+# ball takes about 1570 of the default 2000 Newton steps; without the seed
+# points (see the seeded exchanges below) it ends max_cuts_reached with I
+# 5.8e-4 low.
 
-@pytest.mark.parametrize("p, n", [(3, 2), (4, 2), (3, 3), (4, 3)])
+@pytest.mark.parametrize("p, n", [(3, 2), (4, 2), (3, 3), (4, 3), (3, 6)])
 def test_smooth_dual_is_feasible_and_brackets_the_closed_form(p, n):
     body = ef.LpBall(p, 1.0, n)
     rep = ef.solve_u_bar(body, ef.unit_ball(n))
     assert rep.status == "attained"
     assert ef.body_in_ellipsoid(body, rep.maximizer, 1e-12)[0]
-    assert abs(rep.i_value - n ** (1.0 / p - 0.5)) <= rep.gap * rep.i_value
+    assert rep.i_value <= n ** (1.0 / p - 0.5) <= rep.i_value * (1.0 + rep.gap) * (1.0 + 1e-12)
     assert abs(ef.m_ellipsoid(ef.unit_ball(n), rep.maximizer) - rep.i_value) <= 1e-12
 
 
@@ -273,9 +276,10 @@ def test_smooth_dual_logs_one_debug_record(caplog):
     records = [r for r in caplog.records if r.name == "ellipfit"]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
     message = records[0].getMessage()
-    for word in ("rounds", "points", "Newton steps", "cheap scans", "1 full scans",
+    for word in ("seed points", "rounds", "points", "Newton steps", "cheap scans", "1 full scans",
                  "ascent rounds", ", 0 compass starts", "stop converged"):
         assert word in message
+    assert int(message.split(" seed points")[0].rsplit(" ", 1)[1]) >= 1
     assert f"gap {rep.gap}" in message
     assert not logging.getLogger("ellipfit").handlers
 
@@ -362,9 +366,10 @@ def test_smooth_exchange_logs_one_debug_record(caplog):
     records = [r for r in caplog.records if r.name == "ellipfit"]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
     message = records[0].getMessage()
-    for word in ("rounds", "slabs", "pinning rounds", "Newton steps", "scans", "ascent rounds",
-                 ", 0 compass starts", "gap", "stop converged"):
+    for word in ("seed points", "rounds", "slabs", "pinning rounds", "Newton steps", "scans",
+                 "ascent rounds", ", 0 compass starts", "gap", "stop converged"):
         assert word in message
+    assert int(message.split(" seed points")[0].rsplit(" ", 1)[1]) >= 1
     assert f"gap {rep.gap}" in message
     assert not logging.getLogger("ellipfit").handlers  # the library adds none
 
@@ -425,6 +430,43 @@ def test_smooth_exchange_pins_the_form(n):
     exact = ef.make_ellipsoid(n ** (2.0 / 1.5 - 1.0) * np.eye(n))
     assert rep.status == "optimal"
     assert ef.form_distance(rep.minimizer, exact) <= 1e-12
+
+
+# Seeded exchanges.  Both smooth solvers start their rounds at the boundary
+# extrema of E's metric as well as at the axes and the seeded directions:
+# the inscribed exchange at the local minima of |x|^2 on the whitened body
+# (where the fixed point of u_K touches K), and the circumscribed rounds at
+# the local maxima of x^T Q_E x.  The step bounds sit between the counts with and without
+# the seeds (in parentheses).
+
+def test_seeded_exchange_reaches_the_3d_lp_ball_quickly():
+    # 51 Newton steps (410)
+    rep = ef.solve_u(ef.LpBall(1.5, 1.0, 3), ef.unit_ball(3))
+    assert rep.status == "optimal" and rep.steps <= 120, rep.steps
+    assert abs(rep.j_value - 3.0 ** (1.0 / 6.0)) <= 1e-15
+
+
+def test_seeded_smooth_dual_reaches_the_2d_lp_ball_quickly():
+    # 140 Newton steps (310)
+    rep = ef.solve_u_bar(ef.LpBall(3, 1.0, 2), BALL2)
+    assert rep.status == "attained" and rep.steps <= 200, rep.steps
+
+
+def test_check_john_on_the_3d_lp_ball_solves_quickly(monkeypatch):
+    # the ball of radius 3^(-1/6) is the John ellipsoid of the 3-d p = 1.5
+    # ball; the solve behind the verdict takes 51 Newton steps (410)
+    reports = []
+    solve = solver_module.solve_u
+
+    def recording(*args):
+        reports.append(solve(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(solver_module, "solve_u", recording)
+    john = ef.make_ellipsoid(3.0 ** (1.0 / 3.0) * np.eye(3))
+    verdict = ef.check_john(ef.LpBall(1.5, 1.0, 3), john)
+    assert verdict.is_fixed_point and verdict.contained
+    assert len(reports) == 1 and reports[0].steps <= 120, [r.steps for r in reports]
 
 
 def test_solve_u_ellipsoidal_body_closed_form():
