@@ -381,19 +381,18 @@ def canonical_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (-x, -u) if u[int(np.argmax(np.abs(u)))] < 0 else (x, u)
 
 
-def fold_merge(points) -> list[np.ndarray]:
-    """Fold antipodal pairs (they carry the same dyad) to their canonical
-    sign and drop points within 1e-4 radians of an earlier one."""
-    if not len(points):
-        return []
-    kept, units = [], np.empty((len(points), len(points[0])))
-    for p in points:
-        p, u = canonical_pair(p)
-        if kept and np.abs(units[:len(kept)] @ u).max() >= _MERGE_COS:
-            continue
-        units[len(kept)] = u
-        kept.append(p)
-    return kept
+def fold_merge(points) -> np.ndarray:
+    """The rows of `points` folded to their canonical sign (`canonical_pair`;
+    antipodes carry the same dyad) as a (k, n) array, less those within
+    1e-4 radians of an earlier kept row; each kept row drops them at once."""
+    points = np.asarray(points, dtype=float)
+    units = points / np.sqrt(points[:, None] @ points[:, :, None])[:, 0]  # a dot per row, as canonical_pair
+    keep, live = [], np.arange(len(points))
+    points = points * np.copysign(1.0, units[live, np.abs(units).argmax(1)])[:, None]
+    while live.size:
+        keep.append(live[0])
+        live = live[np.abs(units[live] @ units[live[0]]) < _MERGE_COS]
+    return points[keep]
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def contact_points(body: ConvexBody, e: Ellipsoid, f: Ellipsoid, tol: float) -> 
         found = pts[order[gaps[order] <= tol]]
     if not len(found):
         return np.empty((0, body.dim))
-    return np.array(fold_merge(found))
+    return fold_merge(found)
 
 
 def isotropy_certificate(e: Ellipsoid, points) -> Certificate:

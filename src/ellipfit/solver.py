@@ -34,7 +34,8 @@ starts warm from the last round's.  No LP runs.  Once none pokes out,
 slab rounds from its contacts (as below) pin the directions of the form
 that the contacts leave flat.  Its circumscribed path starts at the
 boundary maxima of E's metric and adds each round every scanned maximum
-of x^T B x above 1 + tol_feas.
+of x^T B x above 1 + tol_feas; each round's path starts warm from the
+last round's, rerun cold when it falls short.
 
 Vertex polytopes run a cutting-plane loop on svec(B)
 (`certificates._svec`, the coordinates of the path and the certificate):
@@ -459,13 +460,14 @@ def _exchange_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveR
     where E is the unit ball, so the scans see every reference alike.  It
     starts from the slabs at the `_initial_cuts` points and at the seeds,
     the refined endpoints of one cheap scan of |x|^2 (the local minima,
-    where u_K's fixed point touches K), fold-merged; each round's path is
-    warm-started from the last.  Each round solves the slab body for F,
-    then looks for new slab points: F's contacts with the slab body,
-    projected radially onto the boundary of K, where their gauge exceeds
-    1 + _EXCHANGE_VIOLATION, and the violated refined endpoints of a cheap
-    boundary scan of Q_F (n multistarts besides the scan's 4n best net
-    points; 4n multistarts took as many rounds).  When neither finds one,
+    where u_K's fixed point touches K), fold-merged together (on lp balls
+    with p > 2 both hold the axes); each round's path starts warm.  Each
+    round solves the slab body for F, then looks for new slab points: F's
+    contacts with the slab body, projected radially onto the boundary of
+    K, where their gauge exceeds 1 + _EXCHANGE_VIOLATION, and the violated
+    refined endpoints of a cheap boundary scan of Q_F (n multistarts
+    besides the scan's 4n best net points; 4n multistarts took as many
+    rounds).  When neither finds one,
     F's form is pinned: it is only held to second order along directions
     that its contacts leave flat, so `_slab_rounds` from its contacts gives
     F'.  The full scan then confirms F', else F; the first it finds inside
@@ -479,7 +481,7 @@ def _exchange_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveR
     white = linear_image(e.chol.T, body)
     ball = unit_ball(n)
     seeds = fold_merge(_violations(white, np.eye(n), 1, n, -np.inf, _CHEAP_DESCENT)[0])
-    points = np.vstack([_initial_cuts(white, cfg.seed).points, seeds])
+    points = fold_merge(np.vstack([_initial_cuts(white, cfg.seed).points, seeds]))
     rounds, steps, scans, pins = 0, 0, 1, 0  # scans counts the seed scan
     end = stop = None
     while stop is None:
@@ -800,16 +802,19 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
     grows by the refined endpoints of a cheap boundary scan (`_violations`,
     n multistarts) with x^T B x > 1 + cfg.tol_feas, or, if it finds none,
     of the full scan, which otherwise confirms B; B is then divided by the
-    full scan's maximum (if above 1).  Facet-only bodies raise
+    full scan's maximum (if above 1).  A round's path starts warm from the
+    last round's for at most the last cold path's steps, and reruns cold if
+    it falls short while the budget covers that.  Facet-only bodies raise
     UnsupportedBodyError.  The supremum is attained iff the center of the
     optimal face is positive definite, else the null space of its limit is
     reported; a second maximizer is X + eps D along a flat D of the face
     (half way to the nearest inactive point or PSD boundary; checked on a
     smooth body).  cfg.max_cuts caps the Newton steps of all rounds; out
-    of budget, I is that of the scaled iterate (a lower bound).  A scanned
+    of budget, I is that of the scaled iterate, or of the last round's
+    center if the iterate reached none (a lower bound).  A scanned
     body's solve leaves a debug record on the `ellipfit` logger: seed
-    points, rounds, points, Newton steps, scans and their effort, gap and
-    stop reason."""
+    points, rounds, points, Newton steps, cold reruns, scans and their
+    effort, gap and stop reason."""
     if body.extreme_points is None and body.quadric_form is None and body.scaled_normal is None:
         raise UnsupportedBodyError("circumscribed solve needs extreme points or a smooth boundary")
     if e.dim != body.dim:
@@ -825,12 +830,20 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
     seeds = [] if exact else fold_merge(_violations(body, e.q, -1, n, -np.inf, _CHEAP_DESCENT)[0])
     points = body.extreme_points if exact else np.vstack([_initial_cuts(body, cfg.seed + 17).points,
                                                           seeds])
-    worst, rounds, cheap, full = 1.0, 0, 1, 0  # the seed scan is a cheap one
+    worst, rounds, cheap, full, reruns, cold, end = 1.0, 0, 1, 0, 0, 0, None  # the seed scan is cheap
     while True:
-        v = points @ e.chol
-        end = _central_path(v, cfg.max_cuts - steps, 1)
-        steps, rounds = steps + end.steps, rounds + 1
-        done = end.gap is not None and end.gap <= _PATH_GAP[1]
+        v, last, rounds = points @ e.chol, end, rounds + 1
+        if last is not None:  # warm from the last round, for at most the last cold path's steps
+            end = _central_path(v, min(cold, cfg.max_cuts - steps), 1, last.root)
+            steps += end.steps
+        done = last is not None and end.gap is not None and end.gap <= _PATH_GAP[1]
+        if not done and (last is None or cfg.max_cuts - steps >= cold):  # cold, or the fallback
+            reruns += last is not None
+            end = _central_path(v, cfg.max_cuts - steps, 1)
+            steps, cold = steps + end.steps, end.steps
+            done = end.gap is not None and end.gap <= _PATH_GAP[1]
+        if end.gap is None and last is not None:  # no center within the budget: the last round's
+            end = last
         x, flat, null = _optimal_face(v, end) if done else (end.root @ end.root.T, None, None)
         form = e.chol @ x @ e.chol.T
         if exact:
@@ -852,9 +865,9 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
         import logging  # here, so that a process that solves no smooth body never loads it
         logging.getLogger("ellipfit").debug(
             "smooth circumscribed solve: %d seed points, %d rounds, %d points, %d Newton steps, "
-            "%d cheap scans, %d full scans, %d ascent rounds, %d compass starts, gap %s, stop %s",
-            len(seeds), rounds, len(v), steps, cheap, full, *np.subtract(body.scan_effort, effort),
-            gap, "converged" if done else "budget")
+            "%d cold reruns, %d cheap scans, %d full scans, %d ascent rounds, %d compass starts, "
+            "gap %s, stop %s", len(seeds), rounds, len(v), steps, reruns, cheap, full,
+            *np.subtract(body.scan_effort, effort), gap, "converged" if done else "budget")
     if not done:
         return DualReport(status="max_cuts_reached", **report)
     if null is not None:

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ellipfit as ef
@@ -304,6 +304,41 @@ def test_fold_merge_matches_the_pairwise_loop(n):
     assert len(ref) == len(base) + len(base[1::2])  # copies and 0.5e-4 turns merge, 2e-4 turns stay
     assert np.array_equal(bodies.fold_merge(cloud), ref)
     assert np.array_equal(bodies.fold_merge(list(cloud)), ref)
+
+
+def _fold_merge_per_row(points):
+    """The per-row loop `fold_merge` ran before it signed its rows in one
+    batch, kept as its reference."""
+    kept, units = [], np.empty((len(points), len(points[0])))
+    for p in points:
+        p, u = bodies.canonical_pair(p)
+        if kept and np.abs(units[:len(kept)] @ u).max() >= bodies._MERGE_COS:
+            continue
+        units[len(kept)] = u
+        kept.append(p)
+    return np.array(kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), k=st.integers(1, 200))
+def test_fold_merge_matches_the_per_row_loop(seed, n, k):
+    # k rows in n dimensions, drawn among random rows, their antipodes and
+    # scaled copies, and turns by 0.5e-4 radians (merged) and 2e-4 (kept)
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((k, n)) * rng.exponential(size=(k, 1))
+    turn = rng.standard_normal((k, n))
+    turn -= np.sum(turn * base, axis=1, keepdims=True) / np.sum(base * base, axis=1, keepdims=True) * base
+    turn *= np.linalg.norm(base, axis=1, keepdims=True) / np.linalg.norm(turn, axis=1, keepdims=True)
+    cloud = np.vstack([base, -base, -3.0 * base, base + 0.5e-4 * turn, -(base + 2e-4 * turn)])
+    cloud = cloud[rng.choice(len(cloud), k, replace=False)]
+    units = cloud / np.linalg.norm(cloud, axis=1, keepdims=True)
+    # the batched cosines may round apart from the per-row ones, which only
+    # matters for a pair within rounding of the threshold
+    assume(np.min(np.abs(np.abs(units @ units.T) - bodies._MERGE_COS)) > 1e-12)
+    kept = bodies.fold_merge(cloud)
+    ref = _fold_merge_per_row(cloud)
+    assert kept.shape == ref.shape and kept.tobytes() == ref.tobytes()
+    assert bodies.fold_merge(list(cloud)).tobytes() == ref.tobytes()
 
 
 def test_norm_triangle_inequality():

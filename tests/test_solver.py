@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -276,8 +277,8 @@ def test_smooth_dual_logs_one_debug_record(caplog):
     records = [r for r in caplog.records if r.name == "ellipfit"]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
     message = records[0].getMessage()
-    for word in ("seed points", "rounds", "points", "Newton steps", "cheap scans", "1 full scans",
-                 "ascent rounds", ", 0 compass starts", "stop converged"):
+    for word in ("seed points", "rounds", "points", "Newton steps", "cold reruns", "cheap scans",
+                 "1 full scans", "ascent rounds", ", 0 compass starts", "stop converged"):
         assert word in message
     assert int(message.split(" seed points")[0].rsplit(" ", 1)[1]) >= 1
     assert f"gap {rep.gap}" in message
@@ -447,9 +448,87 @@ def test_seeded_exchange_reaches_the_3d_lp_ball_quickly():
 
 
 def test_seeded_smooth_dual_reaches_the_2d_lp_ball_quickly():
-    # 140 Newton steps (310)
+    # 91 Newton steps (140 cold)
     rep = ef.solve_u_bar(ef.LpBall(3, 1.0, 2), BALL2)
-    assert rep.status == "attained" and rep.steps <= 200, rep.steps
+    assert rep.status == "attained" and rep.steps <= 110, rep.steps
+
+
+def test_seed_points_on_the_initial_slabs_merge_into_them(caplog):
+    # on lp balls with p > 2 the boundary minima of |x| are the axes, which
+    # the initial slabs already hold: 2 axes and 8 random directions, not 12
+    with caplog.at_level(logging.DEBUG, logger="ellipfit"):
+        rep = ef.solve_u(ef.LpBall(3, 1.0, 2), BALL2)
+    message = [r for r in caplog.records if r.name == "ellipfit"][-1].getMessage()
+    assert "2 seed points, 1 rounds, 10 slabs," in message, message
+    assert rep.status == "optimal" and abs(rep.j_value - 1.0) <= 1e-15
+
+
+def test_smooth_dual_falls_back_to_cold_paths(monkeypatch, caplog):
+    # each round after the first enters the path warm from the last round's
+    # end; a warm path that falls short of the gap is rerun cold, so a solve
+    # whose warm paths all fall short gives the answer of cold paths alone
+    # bit for bit (I = 0.8908987174116533, gap 8.18e-10 before the warm
+    # starts), and the warm paths' steps still count
+    path, calls = solver_module._central_path, []
+    step = solver_module._path_step
+
+    def counting(*args):
+        calls.append(args)
+        return step(*args)
+
+    def short(warm_steps):  # every warm entry ends unconverged, after up to its budget or none
+        def entry(v, max_steps, power, start=None):
+            if start is None:
+                return path(v, max_steps, power)
+            return replace(path(v, max_steps if warm_steps else 0, power, start), gap=None)
+        return entry
+
+    monkeypatch.setattr(solver_module, "_path_step", counting)
+    body = ef.LpBall(3, 1.0, 2)
+    monkeypatch.setattr(solver_module, "_central_path", short(False))
+    cold = ef.solve_u_bar(body, BALL2)
+    assert cold.steps == len(calls)
+    calls.clear()
+    monkeypatch.setattr(solver_module, "_central_path", short(True))
+    with caplog.at_level(logging.DEBUG, logger="ellipfit"):
+        rep = ef.solve_u_bar(body, BALL2)
+    assert (rep.status, rep.i_value, rep.gap) == (cold.status, cold.i_value, cold.gap)
+    assert rep.status == "attained" and rep.i_value == pytest.approx(0.8908987174116533, rel=1e-14)
+    assert rep.gap == pytest.approx(8.18e-10, rel=1e-2)
+    assert rep.steps == len(calls) > cold.steps
+    message = [r for r in caplog.records if r.name == "ellipfit"][-1].getMessage()
+    rounds = int(message.split(" rounds")[0].rsplit(" ", 1)[1])
+    assert f"{rounds - 1} cold reruns" in message, message
+
+
+def test_smooth_dual_out_of_budget_keeps_a_gap():
+    # 200 Newton steps end in a round whose warm path falls short of the gap
+    # with too few steps left for a cold rerun; the answer then comes from
+    # the last round's center, which the full scan scales into a feasible
+    # form that keeps its gap (before the warm starts: gap 4.7e-3)
+    n, cfg = 3, SolveConfig(max_cuts=200)
+    rep = ef.solve_u_bar(ef.LpBall(3, 1.0, n), ef.unit_ball(n), cfg)
+    assert rep.status == "max_cuts_reached" and rep.steps <= cfg.max_cuts
+    assert rep.gap is not None and rep.gap <= 1e-3
+    assert rep.i_value <= n ** (1.0 / 3 - 0.5) <= rep.i_value * (1.0 + rep.gap)
+
+
+def test_mapped_smooth_dual_attains_within_the_default_budget():
+    # a condition-10 image of the 3-d p = 3 ball against the image of a
+    # condition-10 reference: 1458 Newton steps with warm-started rounds,
+    # out of budget after 2000 with every round cold
+    body = ef.LpBall(3, 1.0, 3)
+    e = rand_spd_ellipsoid(np.random.default_rng(3), 3, cond=10.0)
+    t = rand_invertible(np.random.default_rng(0), 3)
+    mapped = ef.linear_image(t, body)
+    rep = ef.solve_u_bar(mapped, ef.ellipsoid_linear_image(t, e))
+    assert rep.status == "attained", (rep.status, rep.steps)
+    assert ef.body_in_ellipsoid(mapped, rep.maximizer, 1e-12)[0]
+    base = ef.solve_u_bar(body, e)
+    assert base.status == "attained"
+    # both I lie below the common optimum and within their gaps of it
+    assert rep.i_value <= base.i_value * (1.0 + base.gap) * (1.0 + 1e-12)
+    assert base.i_value <= rep.i_value * (1.0 + rep.gap) * (1.0 + 1e-12)
 
 
 def test_check_john_on_the_3d_lp_ball_solves_quickly(monkeypatch):
