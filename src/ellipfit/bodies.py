@@ -80,6 +80,7 @@ class ConvexBody:
     * ``scaled_normal``  -- for a smooth boundary, a callable n with n(x)
       normal to the boundary at x and n(x) . x = 1 there (the gradient of
       the gauge, Euler-scaled)
+    * ``gauge_hessian``  -- with it, the gauge's Hessian at boundary rows x, (k, n, n)
 
     The body also keeps its `polar_body`, its scans' net boundary points,
     effort (`scan_effort`) and last result, so a repeated scan
@@ -91,6 +92,7 @@ class ConvexBody:
     extreme_points = None
     quadric_form = None
     scaled_normal = None
+    gauge_hessian = None
 
     def __init__(self, dim: int):
         self.dim = dim
@@ -100,7 +102,7 @@ class ConvexBody:
         self.boundary_nets: dict = {}
         # (arguments, points, values) of the last boundary_quadratic_scan
         self.last_scan: tuple | None = None
-        self.scan_effort = [0, 0]  # ascent rounds and compass-search starts of its scans
+        self.scan_effort = [0, 0, 0]  # ascent rounds, compass-search starts and Newton rounds of its scans
 
     def norm(self, x) -> float:
         return float(norm_many(self, np.asarray(x, dtype=float)[None])[0])
@@ -281,11 +283,20 @@ class LpBall(ConvexBody):
         return np.eye(self.dim) / self.radius**2 if self.p == 2.0 else None
 
     @cached_property
-    def scaled_normal(self):
-        if not 1.0 < self.p < np.inf:
-            return None
+    def scaled_normal(self):  # r**p overflows for large p
         p, r = self.p, self.radius
-        return lambda x: np.sign(x) * (np.abs(x) / r) ** (p - 1.0) / r  # r**p overflows for large p
+        return (lambda x: np.copysign((np.abs(x) / r) ** (p - 1.0) / r, x)) if 1.0 < p < np.inf else None
+
+    @cached_property
+    def gauge_hessian(self):  # (p - 1) / r^2 [diag(a^(p-2)) - w w^T], a = |x| / r, w = sign(x) a^(p-1)
+        @np.errstate(divide="ignore")  # a zero coordinate of a p < 2 ball curves infinitely
+        def hessian(x, p=self.p, r=self.radius):
+            a = np.abs(x) / r
+            w = np.copysign(a ** (p - 1.0), x)
+            h = w[:, :, None] * -w[:, None, :]
+            h.reshape(len(x), -1)[:, :: x.shape[1] + 1] += a ** (p - 2.0)
+            return (p - 1.0) / r**2 * h
+        return None if self.scaled_normal is None else hessian
 
 
 def _sign_rows(n: int) -> np.ndarray:
@@ -346,6 +357,11 @@ class LinearImage(ConvexBody):
             return None
         t_inv = self.matrix_inv
         return lambda x: inner(x @ t_inv.T) @ t_inv  # a point or rows of points
+
+    @cached_property
+    def gauge_hessian(self):
+        inner, t_inv = self.inner.gauge_hessian, self.matrix_inv
+        return None if inner is None else lambda x: t_inv.T @ inner(x @ t_inv.T) @ t_inv
 
 
 def boundary_point(body: ConvexBody, direction) -> np.ndarray:
@@ -477,37 +493,81 @@ def _pattern_descent(body, form, starts, sense, rounds):
     return pts
 
 
+def _kkt_point(hessian, form, x, normal):
+    """x + dx from boundary rows x with gauge gradients `normal`, one Newton step on the KKT
+    system of min x^T Q x there: [Q - mu H, n; n^T, 0] [dx; .] = [mu n - Q x; 0], H = hessian(x)."""
+    (k, n), qx = x.shape, x @ form
+    mu = (qx * x) @ np.ones(n)  # the multiplier, as n . x = 1
+    a, b = np.zeros((k, n + 1, n + 1)), np.zeros((k, n + 1, 1))
+    a[:, :n, :n], a[:, :n, n], a[:, n, :n] = form - mu[:, None, None] * hessian(x), normal, normal
+    b[:, :n, 0] = mu[:, None] * normal - qx
+    try:
+        return x + np.linalg.solve(a, b)[:, :n, 0]
+    except np.linalg.LinAlgError:  # an exactly singular system: every row keeps its power point
+        return np.full_like(x, np.nan)
+
+
 def _normal_ascent(body, form, starts, sense, rounds):
     """Generalized power method (Journee, Nesterov, Richtarik & Sepulchre
-    2010) for sense * x^T Q x on the boundary, batched: a minimum climbs the
-    gauge g over {z^T Q z = 1} by x <- z / g(z), z = Q^{-1} grad g(x); a
-    maximum the polar gauge h over {y^T Q^{-1} y = 1} by x <- grad h(Q x),
-    the support point (grad g, grad h: `scaled_normal` of the body and its
-    polar).  Convex gauges, so no round loses value.  A start settles once
-    it moves by under 1e-12 of its length; it is slow if a move below 1e-2
-    exceeds 0.9 times the last, or if it is unsettled after `rounds` rounds.
-    Returns the boundary points and the mask of the slow starts."""
-    x = starts / norm_many(body, starts)[:, None]
-    ones, live = np.ones(x.shape[1]), np.arange(len(x))
-    last, slow = np.full(len(x), np.inf), np.zeros(len(x), dtype=bool)  # squared relative moves
-    inv, polar = (np.linalg.inv(form), None) if sense > 0 else (None, body.polar_body)
-    for _ in range(rounds):
+    2010) for the minimum of x^T Q x on the boundary, batched: x climbs the
+    gauge g over {z^T Q z = 1} by x <- z / g(z), z = Q^{-1} grad g(x) (grad
+    g: `scaled_normal`).  A maximum is the minimum of y^T Q^{-1} y on the
+    polar's boundary, from y = Q x / h(Q x), mapped back to the support
+    point grad h(y).  No power round loses value, but they contract only
+    linearly.  A start is steady while its squared relative move shrinks by
+    a factor in (1/16, 1) on three rounds running, each within half of the
+    last; once half the live starts are, every steady start steers by
+    Newton-KKT rounds (`_kkt_point`) in place of power rounds, while one of
+    them would settle last by power rounds.  A Newton point is kept if it is
+    finite and no worse to 1e-14; else the start takes the power point and
+    stops steering, as after a Newton move below 1e-7 of its length.  A
+    start settles once it moves by under 1e-12 of its length; it is slow if
+    its power round after a refusal contracts slower than 0.9 with moves
+    below 1e-2, or if it is unsettled after `rounds` rounds.  Returns the
+    boundary points and the slow mask."""
+    # the body the ascent runs on, the inverse of the form it minimizes there, and that form
+    gauge, inv, kform = (body, np.linalg.inv(form), form) if sense > 0 else (body.polar_body, form, None)
+    x = starts if sense > 0 else starts @ form
+    (k, n), x = x.shape, x / norm_many(gauge, x)[:, None]
+    ones, live, slow = np.ones(n), np.arange(k), np.zeros(k, dtype=bool)
+    # per live start: last squared relative move, its ratio to the one before, steadiness, steering
+    last, rate, steady, steer = np.full(k, np.nan), np.full(k, np.nan), np.zeros(k, dtype=bool), None
+    for r in range(rounds):
         if not live.size:
             break
         body.scan_effort[0] += 1
         old = x[live]
-        if sense > 0:
-            z = body.scaled_normal(old) @ inv
-            x[live] = z / norm_many(body, z)[:, None]
-        else:
-            y = old @ form
-            x[live] = polar.scaled_normal(y / norm_many(polar, y)[:, None])
-        move = (x[live] - old) ** 2 @ ones / ((old * old) @ ones)
-        slow[live] = (move > 0.81 * last[live]) & (move < 1e-4)
-        last[live] = move
-        live = live[(move > 1e-24) & ~slow[live]]
+        take = () if steer is None else np.flatnonzero(steer)  # the rows that take a Newton round
+        if 0 < len(take) < len(old):  # only while a steered start would settle last by power rounds
+            need = np.log(1e-24 / last) / np.log(np.minimum(rate, 1.0 - 1e-9))
+            take = take if need[steer].max() > need[~steer].max() else ()
+        normal = gauge.scaled_normal(old)
+        z = normal @ inv
+        if len(take):
+            body.scan_effort[2] += 1
+            kform = np.linalg.pinv(form) if kform is None else kform  # a maximum's Q may be singular
+            z = np.vstack([z, _kkt_point(gauge.gauge_hessian, kform, old[take], normal[take])])
+        new = z / norm_many(gauge, z)[:, None]
+        if len(take):
+            vals = _quad(new, kform)  # the comparison is false where the Newton point is not finite
+            power, new, kkt = vals[take], new[: len(old)], new[len(old):]
+            better = vals[len(old):] - power <= 1e-14 * power
+            new[take[better]], refused = kkt[better], take[~better]
+        move = (new - old) ** 2 @ ones / ((old * old) @ ones)
+        x[live] = new
+        ratio, keep = move / last, move > 1e-24
+        if len(take) and len(refused):  # a refused start goes back to power rounds, or if slow to compass
+            stuck = refused[(move[refused] < 1e-4) & (ratio[refused] > 0.81)]
+            slow[live[stuck]], keep[stuck], steer[refused] = True, False, False
+        if r > 1:  # a contraction factor in (1/16, 1), within half of the last one, twice running
+            fresh = (ratio > 1 / 16) & (ratio < 1.0) & (np.abs(ratio - rate) < 0.5 * rate)
+            fresh, steady = fresh & steady, fresh
+            if steer is not None or 2 * np.count_nonzero(fresh) >= len(fresh):  # once half are steady
+                steer = fresh if steer is None else (steer & (move > 1e-14)) | fresh  # till a move < 1e-7
+        live, last, rate, steady = live[keep], move[keep], ratio[keep], steady[keep]
+        steer = None if steer is None else steer[keep]
     slow[live] = True
-    return x, slow
+    return (x if sense > 0 else gauge.scaled_normal(x)), slow
 
 
 def boundary_quadratic_scan(body: ConvexBody, form: np.ndarray, sense: int = 1, *,
@@ -518,12 +578,13 @@ def boundary_quadratic_scan(body: ConvexBody, form: np.ndarray, sense: int = 1, 
     sense=+1 searches the minimum (Q positive definite on a body with a
     normal), sense=-1 the maximum.  Multistarts (`starts` seeded
     directions, 64n by default, and the best net points) are refined by
-    `_normal_ascent` on a body with a `scaled_normal`, its slow starts and
-    every start on other bodies by `_pattern_descent`, each for at most
-    `rounds` rounds.  Returns (points, values): the boundary points of the
-    net and the refined starts, and x^T Q x at them.  Deterministic, so the
-    body keeps the last result: a repeated call with the same arguments
-    returns the same read-only arrays.
+    `_normal_ascent` on a body with a `scaled_normal` (steadily slow starts
+    finish by Newton rounds on its `gauge_hessian`), its slow starts and
+    every start on other bodies by `_pattern_descent`, for at most `rounds`
+    rounds each.  Returns (points, values): the boundary points of the net
+    and the refined starts, and x^T Q x at them.  Deterministic, so the body
+    keeps the last result: a repeated call with the same arguments returns
+    the same read-only arrays.
     """
     form = np.asarray(form, dtype=float)
     key = (form.tobytes(), sense, net_size, starts, rounds)
@@ -536,15 +597,13 @@ def boundary_quadratic_scan(body: ConvexBody, form: np.ndarray, sense: int = 1, 
     g = _unit(rng.standard_normal((count, n)))
     net_vals = _quad(net_pts, form)
     top = _unit(net_pts[np.argsort(sense * net_vals)[: max(8, n * 4)]])
-    refined = np.vstack([g, top])
-    slow = np.ones(len(refined), dtype=bool)
+    refined, slow = np.vstack([g, top]), np.ones(len(g) + len(top), dtype=bool)
     if body.scaled_normal is not None:
         refined, slow = _normal_ascent(body, form, refined, sense, rounds)
     if slow.any():
         refined[slow] = _pattern_descent(body, form, refined[slow], sense, rounds)
     refined, refined_vals = _boundary_values(body, form, refined)
-    pts = np.vstack([net_pts, refined])
-    vals = np.concatenate([net_vals, refined_vals])
+    pts, vals = np.vstack([net_pts, refined]), np.concatenate([net_vals, refined_vals])
     pts.flags.writeable = vals.flags.writeable = False
     body.last_scan = (key, pts, vals)
     return pts, vals

@@ -522,7 +522,7 @@ def _exchange_report(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig) -> SolveR
 
     logging.getLogger("ellipfit").debug(
         "smooth exchange: %d seed points, %d rounds, %d slabs, %d pinning rounds, %d Newton steps, "
-        "%d scans, %d ascent rounds, %d compass starts, gap %s, stop %s", len(seeds), rounds,
+        "%d scans, %d ascent rounds, %d compass starts, %d Newton rounds, gap %s, stop %s", len(seeds), rounds,
         len(points), pins, steps, scans, *white.scan_effort, gap, stop)
     done = stop == "converged" and rep.status == "optimal"
     return _report(e, minimizer, "optimal" if done else "max_cuts_reached",
@@ -803,8 +803,8 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
     n multistarts) with x^T B x > 1 + cfg.tol_feas, or, if it finds none,
     of the full scan, which otherwise confirms B; B is then divided by the
     full scan's maximum (if above 1).  A round's path starts warm from the
-    last round's for at most the last cold path's steps, and reruns cold if
-    it falls short while the budget covers that.  Facet-only bodies raise
+    last round's for at most the last cold path's steps, and reruns cold,
+    with the steps left, if it falls short.  Facet-only bodies raise
     UnsupportedBodyError.  The supremum is attained iff the center of the
     optimal face is positive definite, else the null space of its limit is
     reported; a second maximizer is X + eps D along a flat D of the face
@@ -837,7 +837,7 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
             end = _central_path(v, min(cold, cfg.max_cuts - steps), 1, last.root)
             steps += end.steps
         done = last is not None and end.gap is not None and end.gap <= _PATH_GAP[1]
-        if not done and (last is None or cfg.max_cuts - steps >= cold):  # cold, or the fallback
+        if not done and (last is None or cfg.max_cuts > steps):  # cold, or the fallback
             reruns += last is not None
             end = _central_path(v, cfg.max_cuts - steps, 1)
             steps, cold = steps + end.steps, end.steps
@@ -866,7 +866,7 @@ def solve_u_bar(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()
         logging.getLogger("ellipfit").debug(
             "smooth circumscribed solve: %d seed points, %d rounds, %d points, %d Newton steps, "
             "%d cold reruns, %d cheap scans, %d full scans, %d ascent rounds, %d compass starts, "
-            "gap %s, stop %s", len(seeds), rounds, len(v), steps, reruns, cheap, full,
+            "%d Newton rounds, gap %s, stop %s", len(seeds), rounds, len(v), steps, reruns, cheap, full,
             *np.subtract(body.scan_effort, effort), gap, "converged" if done else "budget")
     if not done:
         return DualReport(status="max_cuts_reached", **report)

@@ -610,3 +610,57 @@ def test_compass_search_serves_only_bodies_without_a_normal(monkeypatch):
     assert not calls
     bodies.boundary_quadratic_scan(ef.PolytopeV([[1.0, 0.2], [0.1, 1.0]]), form, -1)
     assert len(calls) == 1
+
+
+def test_gauge_hessian_matches_finite_differences():
+    # the closed-form curvature at boundary rows against central differences
+    # of the gradient z -> scaled_normal(z / g(z)); bodies without a scaled
+    # normal have none
+    rng = np.random.default_rng(11)
+    for p in (1.3, 1.5, 3.0, 4.0, 8.0):
+        for n in (2, 3, 4):
+            for body in (ef.LpBall(p, 0.7, n), ef.linear_image(rand_invertible(rng, n), ef.LpBall(p, 1.3, n))):
+                x = rng.standard_normal((5, n))
+                x /= body.norm_many(x)[:, None]
+
+                def grad(z):
+                    return body.scaled_normal(z / body.norm_many(z)[:, None])
+
+                fd = np.stack([(grad(x + 1e-6 * e) - grad(x - 1e-6 * e)) / 2e-6 for e in np.eye(n)], axis=2)
+                h = body.gauge_hessian(x)
+                assert h.shape == (5, n, n) and np.abs(fd - h).max() <= 4e-6 * np.abs(h).max()
+    for body in (square_h(), cross_v(2), ef.LpBall(1, 1.0, 2), ef.LpBall(np.inf, 1.0, 2),
+                 ef.LinearImage(np.eye(2), cross_v(2))):
+        assert body.gauge_hessian is None and body.scaled_normal is None
+
+
+def test_only_slowly_contracting_starts_take_newton_rounds():
+    # power rounds contract at 1/2 toward the minima on the p = 1.5 ball and
+    # the maxima on the p = 3 ball and at 1/3 toward the maxima on the p = 4
+    # ball (42, 42 and 27 rounds); their starts finish by Newton rounds, at
+    # KKT points to round-off.  Toward the minima on the p = 3 ball and the
+    # maxima on the p = 1.5 ball they contract ever faster and take none.
+    for p, n, sense, newton in ((1.5, 4, 1, True), (3.0, 2, -1, True), (4.0, 3, -1, True),
+                                (3.0, 3, 1, False), (1.5, 3, -1, False)):
+        body = ef.LpBall(p, 1.0, n)
+        x, slow = bodies._normal_ascent(body, np.eye(n), np.random.default_rng(0).standard_normal((64 * n, n)),
+                                        sense, 48)
+        rounds, compass, newton_rounds = body.scan_effort
+        assert not slow.any() and rounds <= 16 and (newton_rounds > 0) == newton, body.scan_effort
+        if sense > 0:
+            pair = body.scaled_normal(x), x
+        else:
+            pair = body.polar_body.scaled_normal(x / body.polar_body.norm_many(x)[:, None]), x
+        normal, point = (bodies._unit(v) for v in pair)
+        assert np.all(np.abs(normal - point) <= 1e-14)
+
+
+def test_scan_finds_the_flat_minimum():
+    # a condition-10 image of the 3-d p = 4 ball against a condition-10 form
+    # whose boundary minimum is flat: the scan must reach 0.67094231513, the
+    # value of a 192-start compass search (power rounds alone ended at
+    # 0.670942424)
+    rng = np.random.default_rng(2066484347)
+    body = ef.linear_image(rand_invertible(rng, 3, cond=10.0), ef.LpBall(4, 1.0, 3))
+    form = rand_spd_ellipsoid(rng, 3, cond=10.0).q
+    assert bodies.boundary_quadratic_scan(body, form, 1)[1].min() <= 0.67094231513

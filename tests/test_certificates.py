@@ -95,6 +95,26 @@ def test_verify_u_accepts_smooth_minimizers_under_anisotropic_maps(seed):
         assert res.verdict == ef.VERIFIED, (i, n, p, res.verdict, res.residual)
 
 
+def test_verify_u_contacts_come_out_to_round_off():
+    # the 75 instances above: the starts whose power rounds contract slowly
+    # (p near 2) finish by Newton rounds, so the contacts, and the isotropy
+    # residual of their weights, are exact to round-off (power rounds alone
+    # left 8.2e-9 on instance 10 of seed 0, p = 1.7964 in 3-d: the CI step
+    # "Console script, slow-contraction certificate")
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(seed)
+        for i in range(25):
+            p = rng.uniform(1.1, 1.8) if rng.random() < 0.5 else rng.uniform(2.2, 12.0)
+            n = int(rng.integers(2, 4))
+            t = rand_invertible(rng, n, cond=100.0)
+            r = n ** (0.5 - 1.0 / p) if p < 2 else 1.0
+            body = ef.linear_image(t, ef.LpBall(p, 1.0, n))
+            e = ef.ellipsoid_linear_image(t, ef.unit_ball(n))
+            f = ef.ellipsoid_linear_image(t, ef.make_ellipsoid(np.eye(n) / r**2))
+            res = ef.verify_u(body, e, f, 1e-9)
+            assert res.verdict == ef.VERIFIED and res.residual <= 1e-12, (seed, i, n, p, res.residual)
+
+
 def test_verify_u_soundness_on_solver_outputs():
     rng = np.random.default_rng(0)
     ball2 = ef.unit_ball(2)

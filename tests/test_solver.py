@@ -278,7 +278,8 @@ def test_smooth_dual_logs_one_debug_record(caplog):
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
     message = records[0].getMessage()
     for word in ("seed points", "rounds", "points", "Newton steps", "cold reruns", "cheap scans",
-                 "1 full scans", "ascent rounds", ", 0 compass starts", "stop converged"):
+                 "1 full scans", "ascent rounds", ", 0 compass starts", "Newton rounds",
+                 "stop converged"):
         assert word in message
     assert int(message.split(" seed points")[0].rsplit(" ", 1)[1]) >= 1
     assert f"gap {rep.gap}" in message
@@ -368,7 +369,7 @@ def test_smooth_exchange_logs_one_debug_record(caplog):
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
     message = records[0].getMessage()
     for word in ("seed points", "rounds", "slabs", "pinning rounds", "Newton steps", "scans",
-                 "ascent rounds", ", 0 compass starts", "gap", "stop converged"):
+                 "ascent rounds", ", 0 compass starts", "Newton rounds", "gap", "stop converged"):
         assert word in message
     assert int(message.split(" seed points")[0].rsplit(" ", 1)[1]) >= 1
     assert f"gap {rep.gap}" in message
@@ -467,8 +468,9 @@ def test_smooth_dual_falls_back_to_cold_paths(monkeypatch, caplog):
     # each round after the first enters the path warm from the last round's
     # end; a warm path that falls short of the gap is rerun cold, so a solve
     # whose warm paths all fall short gives the answer of cold paths alone
-    # bit for bit (I = 0.8908987174116533, gap 8.18e-10 before the warm
-    # starts), and the warm paths' steps still count
+    # bit for bit (I = 0.8908987174143133, gap 8.154e-10, with the scans'
+    # slow starts finished by Newton rounds), and the warm paths' steps
+    # still count; the answer brackets I = 2^(-1/6)
     path, calls = solver_module._central_path, []
     step = solver_module._path_step
 
@@ -493,8 +495,9 @@ def test_smooth_dual_falls_back_to_cold_paths(monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="ellipfit"):
         rep = ef.solve_u_bar(body, BALL2)
     assert (rep.status, rep.i_value, rep.gap) == (cold.status, cold.i_value, cold.gap)
-    assert rep.status == "attained" and rep.i_value == pytest.approx(0.8908987174116533, rel=1e-14)
-    assert rep.gap == pytest.approx(8.18e-10, rel=1e-2)
+    assert rep.status == "attained" and rep.i_value == pytest.approx(0.8908987174143133, rel=1e-14)
+    assert rep.gap == pytest.approx(8.154e-10, rel=1e-2)
+    assert rep.i_value <= 2.0 ** (-1.0 / 6.0) <= rep.i_value * (1.0 + rep.gap)
     assert rep.steps == len(calls) > cold.steps
     message = [r for r in caplog.records if r.name == "ellipfit"][-1].getMessage()
     rounds = int(message.split(" rounds")[0].rsplit(" ", 1)[1])
@@ -511,6 +514,19 @@ def test_smooth_dual_out_of_budget_keeps_a_gap():
     assert rep.status == "max_cuts_reached" and rep.steps <= cfg.max_cuts
     assert rep.gap is not None and rep.gap <= 1e-3
     assert rep.i_value <= n ** (1.0 / 3 - 0.5) <= rep.i_value * (1.0 + rep.gap)
+
+
+def test_smooth_dual_spends_the_budget_left():
+    # the first round's cold path takes 51 of 150 steps, and the second
+    # round's warm path its cap of 51 without reaching the path's gap; the
+    # 48 steps left rerun it cold, so the solve spends all 150 and gains on
+    # the first round's I = 1.2224 (gap 0.083), where it kept the warm end
+    # and stopped after 102 steps when a rerun needed the last cold path's 51
+    e = rand_spd_ellipsoid(np.random.default_rng(315), 3, cond=10.0)
+    cfg = SolveConfig(max_cuts=150)
+    rep = ef.solve_u_bar(ef.LpBall(1.5, 1.0, 3), e, cfg)
+    assert rep.status == "max_cuts_reached" and rep.steps == cfg.max_cuts
+    assert rep.gap is not None and rep.gap < 0.083 and rep.i_value > 1.2225
 
 
 def test_mapped_smooth_dual_attains_within_the_default_budget():
