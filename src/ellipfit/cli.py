@@ -61,6 +61,14 @@ def _emit(doc, out_path):
             fh.write(text)
 
 
+def _with_certificate(doc, cert):
+    """doc with the certificate's points, weights and residual, when there is one."""
+    if cert is not None:
+        doc["certificate"] = {"points": cert.points, "weights": cert.weights,
+                              "residual": cert.residual}
+    return doc
+
+
 def _cmd_compute_u(args):
     body = _load_body(args.body)
     e = _load_ellipsoid(args.ellipsoid)
@@ -74,11 +82,10 @@ def _cmd_compute_u(args):
         "Q_F": rep.minimizer.q,
         "cuts": rep.cuts,
         "active_cuts": rep.active_cuts,
-        "certificate": {"points": [], "weights": [], "residual": 1.0} if cert is None else
-                       {"points": cert.points, "weights": cert.weights, "residual": cert.residual},
+        "certificate": {"points": [], "weights": [], "residual": 1.0},  # F not inside the body
         "seed": cfg.seed,
     }
-    _emit(doc, args.out)
+    _emit(_with_certificate(doc, cert), args.out)
     return 0 if rep.status == "optimal" else 2
 
 
@@ -96,8 +103,8 @@ def _cmd_check_john(args):
     e = _load_ellipsoid(args.ellipsoid)
     cfg, _ = _load_configs(args.config)
     rep = solver.check_john(body, e, cfg)
-    _emit({"is_fixed_point": rep.is_fixed_point, "distance": rep.distance,
-           "contained": rep.contained, "seed": cfg.seed}, args.out)
+    _emit(_with_certificate({"is_fixed_point": rep.is_fixed_point, "distance": rep.distance,
+                             "contained": rep.contained, "seed": cfg.seed}, rep.certificate), args.out)
     if args.expect_fixed and not rep.is_fixed_point:
         return 3
     return 0
@@ -139,12 +146,8 @@ def _cmd_certify(args):
     cfg, _ = _load_configs(args.config)
     tol = max(1e-6, 10.0 * cfg.tol_feas)
     result = certificates.verify_u(body, e, f, tol)
-    doc = {"verdict": result.verdict, "residual": result.residual}
-    if result.certificate is not None:
-        doc["certificate"] = {"points": result.certificate.points,
-                              "weights": result.certificate.weights,
-                              "residual": result.certificate.residual}
-    _emit(doc, args.out)
+    _emit(_with_certificate({"verdict": result.verdict, "residual": result.residual},
+                            result.certificate), args.out)
     return 0 if result.verdict == certificates.VERIFIED else 3
 
 

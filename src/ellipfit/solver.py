@@ -68,7 +68,8 @@ from .bodies import (ConvexBody, PolytopeH, PolytopeV, _net_boundary, body_in_el
                      boundary_form_max, boundary_point, boundary_quadratic_scan,
                      canonical_pair, contains_ellipsoid, fold_merge, linear_image, norm_many,
                      polar)
-from .certificates import _packing, _smat, _svec, _svec_dyads, contact_points
+from .certificates import (FAILED_CONTAINMENT, VERIFIED, Certificate, _packing, _smat, _svec,
+                           _svec_dyads, contact_points, verify_u)
 from .ellipsoids import Ellipsoid, form_distance, m_ellipsoid, make_ellipsoid, unit_ball
 from .numerics import (LpProblem, NotPositiveDefiniteError, cholesky, factor_cholesky, inv_sqrt,
                        solve_lp, sym_eigen)
@@ -177,9 +178,14 @@ class DualReport:
 
 @dataclass(frozen=True)
 class JohnReport:
+    """Outcome of `check_john`. `distance` is form_distance(u_K(E), E): 0.0 on
+    a yes, inf when E is not inside K, else read off one `solve_u`. `certificate`
+    holds E's contacts and weights, John's decomposition of Q_E^{-1} on a yes."""
+
     is_fixed_point: bool
     distance: float
     contained: bool
+    certificate: Certificate | None = None
 
 
 @dataclass(frozen=True)
@@ -586,14 +592,15 @@ def j_value(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) ->
 
 
 def check_john(body: ConvexBody, e: Ellipsoid, cfg: SolveConfig = SolveConfig()) -> JohnReport:
-    """Fixed-point test: E is the maximal-volume inscribed ellipsoid of the
-    body exactly when the inscribed minimizer over E is E itself."""
-    verdict = contains_ellipsoid(body, e, cfg.tol_feas)
-    if not verdict.contained:
+    """Fixed-point test: E is the John ellipsoid of the body exactly when
+    u_K(E) = E, that is when `verify_u(body, E, E, tol_feas)` holds with no
+    solve: E lies in the body within tol_feas, and its contacts within
+    tol_feas fit Q_E^{-1} to a relative residual of at most 100 * tol_feas."""
+    res = verify_u(body, e, e, cfg.tol_feas)
+    if res.verdict == FAILED_CONTAINMENT:
         return JohnReport(False, float("inf"), False)
-    rep = solve_u(body, e, cfg)
-    dist = form_distance(rep.minimizer, e)
-    return JohnReport(bool(dist <= 100.0 * cfg.tol_feas), dist, True)
+    dist = 0.0 if res.verdict == VERIFIED else form_distance(solve_u(body, e, cfg).minimizer, e)
+    return JohnReport(res.verdict == VERIFIED, dist, True, res.certificate)
 
 
 def iterate_u(body: ConvexBody, e0: Ellipsoid, steps: int,

@@ -132,6 +132,23 @@ def test_check_john_expect_fixed(files):
                  "--expect-fixed"]) == 3
 
 
+
+def test_check_john_writes_the_certificate(files, capsys):
+    assert main(["check-john", "--body", files["square"], "--ellipsoid", files["ball"]]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["is_fixed_point"] and doc["contained"] and doc["distance"] == 0.0
+    cert = doc["certificate"]
+    assert set(cert) == {"points", "weights", "residual"} and cert["residual"] <= 1e-12
+    assert {tuple(np.abs(np.round(p, 12))) for p in cert["points"]} == {(1.0, 0.0), (0.0, 1.0)}
+    assert np.allclose(cert["weights"], [1.0, 1.0])
+    # the disk of radius 2 is not inside the square: no contacts, no certificate
+    big = str(files["dir"] / "big.json")
+    with open(big, "w") as fh:
+        json.dump({"dim": 2, "Q": [[0.25, 0], [0, 0.25]]}, fh)
+    assert main(["check-john", "--body", files["square"], "--ellipsoid", big]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert not doc["contained"] and not doc["is_fixed_point"] and "certificate" not in doc
+
 def test_dual_report(files, capsys):
     assert main(["dual", "--body", files["narrow"], "--ellipsoid", files["ball"]]) == 0
     doc = json.loads(capsys.readouterr().out)

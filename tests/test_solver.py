@@ -296,6 +296,16 @@ def test_dual_equivalence_examples():
         ef.verify_dual_equivalence(sq, BALL2, ef.make_ellipsoid(4.0 * np.eye(2)))
 
 
+def test_dual_equivalence_accepts_a_smooth_maximizer():
+    # the maximizer of a smooth circumscribed solve is accurate to about 1e-5,
+    # inside the 1e-4 form bar; an isotropy certificate on the F-polar body at
+    # tol_feas would reject it (residuals 1.3e-6 to 1.2e-4 on such maximizers)
+    body = ef.LpBall(3, 1.0, 2)
+    rep = ef.solve_u_bar(body, BALL2)
+    assert rep.status == "attained"
+    assert ef.verify_dual_equivalence(body, BALL2, rep.maximizer)
+
+
 def test_uniqueness_across_seeds():
     rng = np.random.default_rng(1)
     for _ in range(4):
@@ -549,19 +559,86 @@ def test_mapped_smooth_dual_attains_within_the_default_budget():
 
 def test_check_john_on_the_3d_lp_ball_solves_quickly(monkeypatch):
     # the ball of radius 3^(-1/6) is the John ellipsoid of the 3-d p = 1.5
-    # ball; the solve behind the verdict takes 51 Newton steps (410)
-    reports = []
-    solve = solver_module.solve_u
+    # ball; the verdict is its certificate, read without a solve
+    def refuse(*args):
+        raise AssertionError("check_john solved on the yes path")
 
-    def recording(*args):
-        reports.append(solve(*args))
-        return reports[-1]
-
-    monkeypatch.setattr(solver_module, "solve_u", recording)
+    monkeypatch.setattr(solver_module, "solve_u", refuse)
     john = ef.make_ellipsoid(3.0 ** (1.0 / 3.0) * np.eye(3))
     verdict = ef.check_john(ef.LpBall(1.5, 1.0, 3), john)
-    assert verdict.is_fixed_point and verdict.contained
-    assert len(reports) == 1 and reports[0].steps <= 120, [r.steps for r in reports]
+    assert verdict.is_fixed_point and verdict.contained and verdict.distance == 0.0
+    cert = verdict.certificate
+    assert cert.points.shape == (4, 3) and cert.residual <= 1e-12, (cert.points, cert.residual)
+
+
+def _known_john_ellipsoids():
+    """Bodies whose John ellipsoid {x : x^T Q x <= 1} is known in closed form,
+    with Q, and a seeded condition-10 linear image of each with its mapped form."""
+    cases = []
+    for n in range(2, 6):
+        cases += [(f"cube{n}", cube_h(n), np.eye(n)), (f"cross{n}", cross_h(n), n * np.eye(n))]
+    for p in (1.5, 3.0, 4.0):
+        for n in range(2, 5):
+            radius = n ** (0.5 - 1.0 / p) if p < 2.0 else 1.0
+            cases.append((f"lp{p}_ball{n}", ef.LpBall(p, 1.0, n), np.eye(n) / radius**2))
+    rng = np.random.default_rng(25)
+    images = []
+    for name, body, q in cases:
+        t = rand_invertible(rng, q.shape[0], cond=10.0)
+        t_inv = np.linalg.inv(t)
+        images.append((f"image_{name}", ef.linear_image(t, body), t_inv.T @ q @ t_inv))
+    return [pytest.param(body, q, id=name) for name, body, q in cases + images]
+
+
+@pytest.mark.parametrize("body,q", _known_john_ellipsoids())
+def test_check_john_certifies_known_john_ellipsoids(body, q):
+    n = q.shape[0]
+    rep = ef.check_john(body, ef.make_ellipsoid(q))
+    assert rep.is_fixed_point and rep.contained and rep.distance == 0.0
+    cert = rep.certificate
+    assert cert.residual <= 1e-12, cert.residual
+    # John's contact points: between n and n(n+1)/2 carry weight, and they span R^n
+    support = cert.points[cert.weights > 0.0]
+    assert n <= support.shape[0] <= n * (n + 1) // 2, cert.weights
+    assert np.linalg.matrix_rank(support) == n
+    # shrunk along e_0 by a relative 1e-6 the ellipsoid stays inside but leaves
+    # the boundary there: no longer fixed, although its distance is below 1e-6
+    bumped = q.copy()
+    bumped[0, 0] *= 1.0 + 1e-6
+    rep = ef.check_john(body, ef.make_ellipsoid(bumped))
+    assert rep.contained and not rep.is_fixed_point, rep.distance
+
+
+def test_check_john_reads_tol_feas_as_the_certificate_bar():
+    # the last of 20 iterates of u_K on a random 7-facet body: its certificate
+    # residual is 1.63e-7, inside the default bar 100 * 1e-8 and outside 100 * 1e-9
+    rng = np.random.default_rng(3)
+    body = ef.PolytopeH(rng.standard_normal((7, 3)))
+    trajectory = ef.iterate_u(body, ef.unit_ball(3), 60).trajectory
+    assert len(trajectory) == 20
+    e = trajectory[-1]
+    loose = ef.check_john(body, e)
+    assert loose.is_fixed_point and 1e-7 < loose.certificate.residual <= 1e-6
+    strict = ef.check_john(body, e, SolveConfig(tol_feas=1e-9))
+    assert strict.contained and not strict.is_fixed_point and strict.distance > 0.0
+
+
+def test_check_john_solves_once_only_off_the_fixed_point(monkeypatch):
+    calls = []
+    solve = solver_module.solve_u
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(solver_module, "solve_u", counting)
+    assert not ef.check_john(square_h(), ef.make_ellipsoid(0.25 * np.eye(2))).contained
+    assert ef.check_john(square_h(), BALL2).is_fixed_point
+    assert not calls
+    rep = ef.check_john(square_h(), ef.make_ellipsoid(np.diag([1.0, 4.0])))
+    assert len(calls) == 1 and rep.contained and not rep.is_fixed_point
+    # the distance to u_K(E), the unit disk, keeps its meaning
+    assert abs(rep.distance - ef.form_distance(BALL2, ef.make_ellipsoid(np.diag([1.0, 4.0])))) <= 1e-8
 
 
 def test_solve_u_ellipsoidal_body_closed_form():
